@@ -61,7 +61,6 @@ from .qsym import (
     exp_partial_t,
     phi_bar_sigma,
     power_p,
-    sigma_bar_t,
     sigma_t,
     sigma_t_exp,
     sigma_t_inverse,

@@ -20,8 +20,7 @@ implementations for cross-checking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .words import (
     DomainError,
@@ -31,7 +30,8 @@ from .words import (
     Y,
     all_words,
     composition_of,
-    tau_word,
+    linear,
+    tau,
     word_of,
 )
 
@@ -48,23 +48,16 @@ class Derivation:
 
     def apply(self, p) -> Poly:
         """Leibniz extension over each word, linear over terms."""
-        p = p if isinstance(p, Poly) else Poly.word(p)
-        out = Poly.zero()
-        for w, c in p.items():
-            out = out + _apply_word(self, w).scale(c)
-        return out
+        return linear(partial(_apply_word, self), p)
 
     __call__ = apply
 
 
 @lru_cache(maxsize=None)
 def _apply_word(d: Derivation, w: Word) -> Poly:
-    out = Poly.zero()
-    for i, a in enumerate(w):
-        img = d.image_of(a)
-        if img:
-            out = out + Poly.word(w[:i]) * img * Poly.word(w[i + 1 :])
-    return out
+    return Poly(
+        (w[:i] + v + w[i + 1 :], c) for i, a in enumerate(w) for v, c in d.image_of(a).items()
+    )
 
 
 def derivation_D() -> Derivation:
@@ -103,17 +96,6 @@ def ihara_kaneko(n: int) -> Derivation:
     return Derivation(img, -img)
 
 
-def _as_poly(p) -> Poly:
-    return p if isinstance(p, Poly) else Poly.word(p)
-
-
-def _linear(word_fn, p) -> Poly:
-    out = Poly.zero()
-    for w, c in _as_poly(p).items():
-        out = out + word_fn(w).scale(c)
-    return out
-
-
 def cyclic_C(p) -> Poly:
     """Canonical element (C(w), 1): sum over y positions of the x...y rotation.
 
@@ -121,30 +103,22 @@ def cyclic_C(p) -> Poly:
     x a_{i+1} ... a_k a_1 ... a_{i-1} y.  Pure x-powers and the unit map to 0.
     Linear in Poly arguments; invariant under rotation of the input word.
     """
-    return _linear(_cyclic_word, p)
+    return linear(_cyclic_word, p)
 
 
 @lru_cache(maxsize=None)
 def _cyclic_word(w: Word) -> Poly:
-    out = Poly.zero()
-    for i, a in enumerate(w):
-        if a == Y:
-            out = out + Poly.word(X + w[i + 1 :] + w[:i] + Y)
-    return out
+    return cyclic_C_pair(w, "")
 
 
 def cyclic_C_pair(w: Word, f: Word) -> Poly:
     """Full pairing (C(w), f); reduces to cyclic_C at f = the unit word."""
-    out = Poly.zero()
-    for i, a in enumerate(w):
-        if a == Y:
-            out = out + Poly.word(X + w[i + 1 :] + f + w[:i] + Y)
-    return out
+    return Poly((X + w[i + 1 :] + f + w[:i] + Y, 1) for i, a in enumerate(w) if a == Y)
 
 
 def cyclic_C_bar(p) -> Poly:
     """Conjugate cyclic derivation: tau . cyclic_C . tau."""
-    return cyclic_C(_as_poly(p).tau()).tau()
+    return cyclic_C(tau(p)).tau()
 
 
 def cyclic_C_zform(w: Word) -> Poly:
@@ -155,11 +129,7 @@ def cyclic_C_zform(w: Word) -> Poly:
     position-based implementation, for cross-checking.
     """
     c = composition_of(w)
-    out = Poly.zero()
-    for j in range(len(c)):
-        rot = c[j:] + c[:j]
-        out = out + Poly.word(word_of((rot[0] + 1,) + rot[1:]))
-    return out
+    return Poly((word_of((c[j] + 1,) + c[j + 1 :] + c[:j]), 1) for j in range(len(c)))
 
 
 def cyclic_C_bar_zform(w: Word) -> Poly:
@@ -169,33 +139,9 @@ def cyclic_C_bar_zform(w: Word) -> Poly:
     of  z_{ij - q} z_{i(j+1)} ... z_{i(j-1)} z_{q+1}.
     """
     c = composition_of(w)
-    out = Poly.zero()
-    for j, k in enumerate(c):
-        if k < 2:
-            continue
-        rest = c[j + 1 :] + c[:j]
-        for q in range(k - 1):
-            out = out + Poly.word(word_of((k - q,) + rest + (q + 1,)))
-    return out
+    return Poly(
+        (word_of((k - q,) + c[j + 1 :] + c[:j] + (q + 1,)), 1)
+        for j, k in enumerate(c)
+        for q in range(k - 1)
+    )
 
-
-def graded_by_length(p: Poly) -> dict:
-    """Split a Poly by y-count, viewing each y as carrying one formal t.
-
-    This is the expansion of substituting t*y for y: the coefficient of t^d
-    is the part of p whose words contain exactly d letters y.
-    """
-    parts: dict = {}
-    for w, c in p.items():
-        parts.setdefault(w.count(Y), []).append((w, c))
-    return {d: Poly(terms) for d, terms in sorted(parts.items())}
-
-
-def apply_graded(word_fn, graded: dict) -> dict:
-    """Apply a linear word map degree-by-degree to a t-graded family."""
-    out: dict = {}
-    for d, poly in graded.items():
-        q = _linear(word_fn, poly)
-        if q:
-            out[d] = out.get(d, Poly.zero()) + q
-    return {d: p for d, p in sorted(out.items()) if p}

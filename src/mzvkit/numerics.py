@@ -74,6 +74,13 @@ _mzv_cache: dict = {}
 _cache_lock = threading.Lock()
 
 
+def _check_eval_args(cutoff: int, digits: int) -> None:
+    if cutoff < 1:
+        raise DomainError(f"cutoff must be >= 1: {cutoff}")
+    if digits < 1:
+        raise DomainError(f"precision must be >= 1 digit: {digits}")
+
+
 def mzv_tail_bound(c: Composition, cutoff: int) -> float:
     l = len(c)
     if l == 0:
@@ -92,6 +99,7 @@ def mzv_eval(c: Composition, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT
     c = tuple(c)
     if c and not is_admissible_composition(c):
         raise DomainError(f"composition is not admissible (series diverges): {c}")
+    _check_eval_args(cutoff, digits)
     key = (c, cutoff, digits)
     hit = _mzv_cache.get(key)
     if hit is not None:
@@ -127,6 +135,7 @@ def _mzv_sum(c: Composition, cutoff: int, digits: int) -> Decimal:
 
 def zeta_of_poly(p: Poly, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT_DIGITS) -> EvalResult:
     """Linear extension of mzv_eval; support must be admissible (unit allowed)."""
+    _check_eval_args(cutoff, digits)
     total = Decimal(0)
     tail = 0.0
     with localcontext() as ctx:
@@ -155,51 +164,32 @@ def _inv_powers(N: int, k: int) -> np.ndarray:
     return v
 
 
-def _t_sum(c: Composition, N: int) -> float:
-    """Partial sum over n1 > ... > nl > j >= 0, n1 <= N, of the coupled series."""
+def _chain_sum(c: Composition, w: np.ndarray, N: int) -> float:
+    """Partial sum over N >= n1 > ... > nl > j >= 0 of w[j] / (n1^k1 ... nl^kl (n1 - j))."""
     l = len(c)
     inv = _inv_powers(N, 1)
-    pow1 = _inv_powers(N, c[0])
-    if l == 1:
-        h = np.cumsum(inv[1:])
-        return float(np.sum(h * pow1[1:]))
     pows = [_inv_powers(N, k) for k in c]
-    # chains[i][j] = sum of the index chain n_{i+2} > ... > n_l > j with all
-    # entries strictly below the current outer n; updating i in increasing
-    # order keeps each update reading the pre-update (strictly smaller) level.
-    chains = [np.zeros(N) for _ in range(l - 1)]
+    # levels[i][j] = sum of w[j] times the index chain n_{i+2} > ... > n_l > j
+    # with all entries strictly below the current outer n; the last level is w
+    # itself.  Updating i in increasing order keeps each update reading the
+    # pre-update (strictly smaller) level.
+    levels = [np.zeros(N) for _ in range(l - 1)] + [w]
     total = 0.0
     for n in range(1, N + 1):
-        if n > l - 1:
-            total += pow1[n] * float(np.dot(chains[0][:n], inv[n:0:-1]))
-        for i in range(l - 2):
-            chains[i][:n] += pows[i + 1][n] * chains[i + 1][:n]
-        chains[l - 2][:n] += pows[l - 1][n]
+        total += pows[0][n] * float(np.dot(levels[0][:n], inv[n:0:-1]))
+        for i in range(l - 1):
+            levels[i][:n] += pows[i + 1][n] * levels[i + 1][:n]
     return total
+
+
+def _t_sum(c: Composition, N: int) -> float:
+    """Partial sum over n1 > ... > nl > j >= 0, n1 <= N, of the coupled series."""
+    return _chain_sum(c, np.ones(N), N)
 
 
 def _s_sum(c: Composition, k_last: int, N: int) -> float:
     """Partial sum over n1 > ... > nl > j >= 1 with the extra j^-k_last factor."""
-    l = len(c)
-    inv = _inv_powers(N, 1)
-    pow1 = _inv_powers(N, c[0])
-    w = np.zeros(N)
-    w[1:] = np.arange(1, N, dtype=float) ** (-float(k_last))
-    if l == 1:
-        total = 0.0
-        for n in range(2, N + 1):
-            total += pow1[n] * float(np.dot(w[:n], inv[n:0:-1]))
-        return total
-    pows = [_inv_powers(N, k) for k in c]
-    chains = [np.zeros(N) for _ in range(l - 1)]
-    total = 0.0
-    for n in range(1, N + 1):
-        if n > l:
-            total += pow1[n] * float(np.dot(chains[0][:n] * w[:n], inv[n:0:-1]))
-        for i in range(l - 2):
-            chains[i][:n] += pows[i + 1][n] * chains[i + 1][:n]
-        chains[l - 2][:n] += pows[l - 1][n]
-    return total
+    return _chain_sum(c, _inv_powers(N - 1, k_last), N)
 
 
 def t_series_eval(c: Composition, cutoff: int = DEFAULT_ST_CUTOFF) -> EvalResult:
@@ -236,7 +226,15 @@ def verify(
     slack: float = DEFAULT_SLACK,
     digits: int = DEFAULT_DIGITS,
 ) -> list:
-    """Evaluate each relation element; pass iff |residual| <= slack * tail sum."""
+    """Evaluate each relation element; pass iff |residual| <= slack * tail sum.
+
+    No relations at all is an error rather than a vacuous pass.
+    """
+    if not (math.isfinite(slack) and slack >= 0):
+        raise DomainError(f"slack must be finite and >= 0: {slack}")
+    relations = list(relations)
+    if not relations:
+        raise DomainError("no relations to verify")
     reports = []
     for rel in relations:
         r = zeta_of_poly(rel.element, cutoff, digits)

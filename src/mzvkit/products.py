@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .words import DomainError, Poly, Word, X, Y, is_h0_word
+from .words import DomainError, Poly, Word, X, Y, _add_into, _raw, as_poly, bilinear, is_h0_word
 
 
 @lru_cache(maxsize=None)
@@ -51,32 +51,20 @@ def _harmonic_words(u: Word, v: Word) -> Poly:
     q = v.index(Y)
     u1 = u[p + 1 :]
     v1 = v[q + 1 :]
-    out = Poly.word(u[: p + 1]) * _harmonic_words(u1, v)
-    out = out + Poly.word(v[: q + 1]) * _harmonic_words(u, v1)
-    out = out + Poly.word(X * (p + q + 1) + Y) * _harmonic_words(u1, v1)
-    return out
-
-
-def _bilinear(word_product, u: Poly, v: Poly) -> Poly:
-    out = Poly.zero()
-    for wu, cu in u.items():
-        for wv, cv in v.items():
-            out = out + word_product(wu, wv).scale(cu * cv)
-    return out
-
-
-def _as_poly(p) -> Poly:
-    return p if isinstance(p, Poly) else Poly.word(p)
+    acc = _add_into({}, Poly.word(u[: p + 1]) * _harmonic_words(u1, v))
+    _add_into(acc, Poly.word(v[: q + 1]) * _harmonic_words(u, v1))
+    _add_into(acc, Poly.word(X * (p + q + 1) + Y) * _harmonic_words(u1, v1))
+    return _raw(acc)
 
 
 def shuffle(u, v) -> Poly:
     """Shuffle product; accepts Poly or word arguments."""
-    return _bilinear(_shuffle_words, _as_poly(u), _as_poly(v))
+    return bilinear(_shuffle_words, u, v)
 
 
 def harmonic(u, v) -> Poly:
     """Harmonic (stuffle) product; accepts Poly or word arguments."""
-    return _bilinear(_harmonic_words, _as_poly(u), _as_poly(v))
+    return bilinear(_harmonic_words, u, v)
 
 
 def double_shuffle(u, v) -> Poly:
@@ -85,8 +73,8 @@ def double_shuffle(u, v) -> Poly:
     Both inputs must be supported on admissible words (or the unit), where
     the zeta evaluation is defined; the result lies in its kernel.
     """
-    u = _as_poly(u)
-    v = _as_poly(v)
+    u = as_poly(u)
+    v = as_poly(v)
     for p in (u, v):
         for w in p.support():
             if not is_h0_word(w):

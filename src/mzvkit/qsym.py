@@ -20,7 +20,7 @@ exponential of the graded antisymmetric derivations.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Mapping
 
 from .derivations import Derivation, derivation_Dn, ihara_kaneko
@@ -30,9 +30,13 @@ from .words import (
     Word,
     X,
     Y,
+    _add_into,
+    _raw,
+    as_poly,
     composition_of,
     compositions,
     is_h1_word,
+    linear,
     word_of,
 )
 
@@ -77,18 +81,6 @@ class TensorPoly:
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
 
-    def __add__(self, other):
-        out = dict(self._terms)
-        for pair, c in other._terms.items():
-            s = out.get(pair, 0) + c
-            if s:
-                out[pair] = s
-            else:
-                del out[pair]
-        t = TensorPoly()
-        t._terms = out
-        return t
-
     def __repr__(self):
         body = " + ".join(f"{c} ({u or '1'} (x) {v or '1'})" for (u, v), c in self.items())
         return f"TensorPoly({body or '0'})"
@@ -96,14 +88,12 @@ class TensorPoly:
 
 def coproduct(p) -> TensorPoly:
     """Deconcatenation coproduct in z-letters; input must lie in the y-ending subalgebra."""
-    p = p if isinstance(p, Poly) else Poly.word(p)
-    out = TensorPoly()
-    for w, c in p.items():
+    terms: dict = {}
+    for w, c in as_poly(p).items():
         zs = composition_of(w)  # raises DomainError outside the domain
-        out = out + TensorPoly(
-            {(word_of(zs[:j]), word_of(zs[j:])): c for j in range(len(zs) + 1)}
-        )
-    return out
+        for j in range(len(zs) + 1):
+            terms[(word_of(zs[:j]), word_of(zs[j:]))] = c  # w = u v fixes the pair
+    return TensorPoly(terms)
 
 
 @lru_cache(maxsize=None)
@@ -114,21 +104,17 @@ def _act_word(zs: tuple, w: Word) -> Poly:
         return Poly.zero()
     if w[0] == X:
         return Poly.word(X) * _act_word(zs, w[1:])
-    out = Poly.word(Y) * _act_word(zs, w[1:])
-    out = out + Poly.word(X * zs[0] + Y) * _act_word(zs[1:], w[1:])
-    return out
+    return (
+        Poly.word(Y) * _act_word(zs, w[1:])
+        + Poly.word(X * zs[0] + Y) * _act_word(zs[1:], w[1:])
+    )
 
 
 def act(u, w) -> Poly:
     """Action of an element of the y-ending subalgebra on an arbitrary Poly."""
-    u = u if isinstance(u, Poly) else Poly.word(u)
-    w = w if isinstance(w, Poly) else Poly.word(w)
-    out = Poly.zero()
-    for uw, cu in u.items():
-        zs = composition_of(uw)
-        for ww, cw in w.items():
-            out = out + _act_word(zs, ww).scale(cu * cw)
-    return out
+    w = as_poly(w)
+    # composition_of raises DomainError on a term of u outside the subalgebra
+    return linear(lambda uw: linear(partial(_act_word, composition_of(uw)), w), u)
 
 
 def power_p(n: int) -> Poly:
@@ -187,10 +173,9 @@ class TruncatedSeries:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self._coeffs)
-        for k, p in other._coeffs.items():
-            out[k] = out.get(k, Poly.zero()) + p
-        return TruncatedSeries(out, self.order)
+        return _series_sum(
+            ((k, p, 1) for s in (self, other) for k, p in s._coeffs.items()), self.order
+        )
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -198,12 +183,15 @@ class TruncatedSeries:
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             self._check(other)
-            out: dict = {}
-            for i, p in self._coeffs.items():
-                for j, q in other._coeffs.items():
-                    if i + j <= self.order:
-                        out[i + j] = out.get(i + j, Poly.zero()) + p * q
-            return TruncatedSeries(out, self.order)
+            return _series_sum(
+                (
+                    (i + j, p * q, 1)
+                    for i, p in self._coeffs.items()
+                    for j, q in other._coeffs.items()
+                    if i + j <= self.order
+                ),
+                self.order,
+            )
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -225,62 +213,63 @@ class TruncatedSeries:
         return f"TruncatedSeries(order={self.order}, {body or '0'})"
 
 
+def _series_sum(terms, order: int) -> TruncatedSeries:
+    """Series whose t^k coefficient is the sum of c * p over the (k, p, c) in terms."""
+    acc: dict = {}
+    for k, p, c in terms:
+        _add_into(acc.setdefault(k, {}), p, c)
+    return TruncatedSeries({k: _raw(t) for k, t in acc.items()}, order)
+
+
 def sigma_t(p, order: int) -> TruncatedSeries:
     """Automorphism whose t^k coefficient is the action of the complete h_k."""
-    p = p if isinstance(p, Poly) else Poly.word(p)
+    p = as_poly(p)
     return TruncatedSeries({k: act(complete_h(k), p) for k in range(order + 1)}, order)
 
 
 def sigma_t_inverse(p, order: int) -> TruncatedSeries:
     """Inverse of sigma_t: t^k coefficient is (-1)^k times the e_k action."""
-    p = p if isinstance(p, Poly) else Poly.word(p)
+    p = as_poly(p)
     return TruncatedSeries(
         {k: act(elementary_e(k), p).scale((-1) ** k) for k in range(order + 1)}, order
     )
 
 
-def sigma_bar_t(series: TruncatedSeries) -> TruncatedSeries:
-    """Conjugate of sigma_t by the x/y swap, applied to a whole series."""
-    out: dict = {}
-    for i, p in series.items():
-        for j in range(series.order - i + 1):
-            q = act(complete_h(j), p.tau()).tau()
-            if q:
-                out[i + j] = out.get(i + j, Poly.zero()) + q
-    return TruncatedSeries(out, series.order)
-
-
 def phi_bar_sigma(p, order: int) -> TruncatedSeries:
-    """The composite sigma_bar_t . sigma_t^(-1)."""
-    return sigma_bar_t(sigma_t_inverse(p, order))
+    """The composite sigma_bar_t . sigma_t^(-1).
+
+    sigma_bar_t is the conjugate of sigma_t by the x/y swap, applied
+    t-linearly to the whole series sigma_t^(-1)(p).
+    """
+    return _series_sum(
+        (
+            (i + j, act(complete_h(j), q.tau()).tau(), 1)
+            for i, q in sigma_t_inverse(p, order).items()
+            for j in range(order - i + 1)
+        ),
+        order,
+    )
 
 
 def _exp_graded_derivation(der_of_index, p: Poly, order: int) -> TruncatedSeries:
     """exp of sum_n t^n d_n / n applied to a constant series.
 
     The operator raises t-degree by at least 1, so at truncation order N only
-    N iterated applications contribute and the exponential is a finite sum.
+    N iterated applications contribute and the exponential is a finite sum;
+    its m-th term is the operator applied to the (m-1)-th, divided by m.
     """
-
-    def step(coeffs: dict) -> dict:
-        out: dict = {}
-        for k, q in coeffs.items():
-            for n in range(1, order - k + 1):
-                r = der_of_index(n).apply(q).scale(Fraction(1, n))
-                if r:
-                    out[k + n] = out.get(k + n, Poly.zero()) + r
-        return {k: q for k, q in out.items() if q}
-
-    total = {0: p}
-    term = {0: p}
+    term = total = TruncatedSeries.constant(p, order)
     for m in range(1, order + 1):
-        term = step(term)
-        if not term:
-            break
-        for k, q in term.items():
-            total[k] = total.get(k, Poly.zero()) + q.scale(Fraction(1, m))
-        term = {k: q.scale(Fraction(1, m)) for k, q in term.items()}
-    return TruncatedSeries(total, order)
+        term = _series_sum(
+            (
+                (k + n, der_of_index(n).apply(q), Fraction(1, n * m))
+                for k, q in term.items()
+                for n in range(1, order - k + 1)
+            ),
+            order,
+        )
+        total = total + term
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -295,11 +284,11 @@ def _partial(n: int) -> Derivation:
 
 def sigma_t_exp(p, order: int) -> TruncatedSeries:
     """sigma_t computed as exp of the weighted sum of the y -> x^n y derivations."""
-    p = p if isinstance(p, Poly) else Poly.word(p)
+    p = as_poly(p)
     return _exp_graded_derivation(_dn, p, order)
 
 
 def exp_partial_t(p, order: int) -> TruncatedSeries:
     """exp of the weighted sum of the antisymmetric derivations."""
-    p = p if isinstance(p, Poly) else Poly.word(p)
+    p = as_poly(p)
     return _exp_graded_derivation(_partial, p, order)

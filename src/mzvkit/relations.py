@@ -36,18 +36,6 @@ from .words import (
     word_of,
 )
 
-FAMILIES = (
-    "duality",
-    "derivation",
-    "cyclic",
-    "sum",
-    "hoffman43",
-    "ihara_kaneko",
-    "ohno",
-    "double_shuffle",
-)
-
-
 @dataclass(frozen=True)
 class Relation:
     """A weight-homogeneous kernel element with its provenance."""
@@ -225,30 +213,42 @@ def gen_double_shuffle(weight: int) -> list:
     return _collect(candidates)
 
 
+# Relation families by name, each a generator of the family at one weight.
+FAMILIES = {
+    "duality": gen_duality,
+    "derivation": gen_derivation,
+    "cyclic": gen_cyclic_sum,
+    "sum": gen_sum_theorem,
+    "hoffman43": gen_hoffman43,
+    "ihara_kaneko": lambda weight: [
+        r for n in range(1, weight - 1) for r in gen_ihara_kaneko(n, weight)
+    ],
+    "ohno": lambda weight: [r for n in range(1, weight - 1) for r in gen_ohno(n, weight)],
+    "double_shuffle": gen_double_shuffle,
+}
+
+
+def _check_families(weight: int, families) -> tuple:
+    """The family names as a tuple, after rejecting weight < 2, none, or an unknown one."""
+    if weight < 2:
+        raise DomainError(f"weight must be >= 2: {weight}")
+    families = tuple(families)
+    if not families:
+        raise DomainError("no relation family given")
+    for family in families:
+        if family not in FAMILIES:
+            raise DomainError(
+                f"unknown family: {family!r} (expected one of {', '.join(FAMILIES)})"
+            )
+    return families
+
+
 def generate(weight: int, families=FAMILIES) -> list:
     """All relations of the requested families at one weight, deduplicated globally."""
     out = []
     seen = set()
-    for family in families:
-        if family not in FAMILIES:
-            raise DomainError(f"unknown family: {family!r}")
-        if family == "duality":
-            rels = gen_duality(weight)
-        elif family == "derivation":
-            rels = gen_derivation(weight)
-        elif family == "cyclic":
-            rels = gen_cyclic_sum(weight)
-        elif family == "sum":
-            rels = gen_sum_theorem(weight)
-        elif family == "hoffman43":
-            rels = gen_hoffman43(weight)
-        elif family == "ihara_kaneko":
-            rels = [r for n in range(1, weight - 1) for r in gen_ihara_kaneko(n, weight)]
-        elif family == "ohno":
-            rels = [r for n in range(1, weight - 1) for r in gen_ohno(n, weight)]
-        else:
-            rels = gen_double_shuffle(weight)
-        for r in rels:
+    for family in _check_families(weight, families):
+        for r in FAMILIES[family](weight):
             key = (r.family, _freeze(r.element))
             if key not in seen:
                 seen.add(key)
@@ -334,8 +334,7 @@ class RankReport:
 
 
 def rank_report(weight: int, families=FAMILIES) -> RankReport:
-    if weight < 2:
-        raise DomainError(f"weight must be >= 2: {weight}")
+    families = _check_families(weight, families)
     basis = admissible_words(weight)
     union = RowSpace(len(basis))
     family_ranks: dict = {}

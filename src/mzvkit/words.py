@@ -6,9 +6,12 @@ coefficients (zero coefficients are never stored).  Compositions -- tuples of
 positive integers -- give the exponent view of words ending in y through the
 bijection (k1, ..., kl) <-> x^(k1-1) y x^(k2-1) y ... x^(kl-1) y.
 
-Everything here is immutable after construction and safe to share across
-threads.  Term order is graded lexicographic with x < y, which fixes all
-printed and serialized output.
+A Poly is immutable after construction and safe to share across threads.
+Word maps are extended to Polys by `linear` and `bilinear`, which sum into
+one internal mutable term dict (`_add_into`) and wrap it as a Poly only when
+the sum is complete; Poly's `+`, `-` and `*` use the same accumulator.
+Term order is graded lexicographic with x < y, which fixes all printed and
+serialized output.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ def tau_word(w: Word) -> Word:
 
 def tau(p) -> "Poly":
     """The anti-automorphism on polynomials; accepts a Poly or a word."""
-    return (p if isinstance(p, Poly) else Poly.word(p)).tau()
+    return as_poly(p).tau()
 
 
 def is_h1_word(w: Word) -> bool:
@@ -255,14 +258,7 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return _raw(out)
+        return _raw(_add_into(dict(self._terms), other))
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -272,16 +268,8 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            out: dict = {}
-            for u, cu in self._terms.items():
-                for v, cv in other._terms.items():
-                    w = u + v
-                    s = out.get(w, 0) + cu * cv
-                    if s:
-                        out[w] = s
-                    else:
-                        del out[w]
-            return _raw(out)
+            # u + v is injective in v, so left factor u relabels other's terms
+            return linear(lambda u: _raw({u + v: c for v, c in other._terms.items()}), self)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -330,9 +318,6 @@ class Poly:
     def supported_in_h0(self) -> bool:
         return all(is_h0_word(w) for w in self._terms)
 
-    def supported_in_h1(self) -> bool:
-        return all(is_h1_word(w) for w in self._terms)
-
     def __repr__(self) -> str:
         return f"Poly({format_poly(self)!r})"
 
@@ -348,6 +333,41 @@ def _raw(terms: dict) -> Poly:
     return p
 
 
+def as_poly(p) -> Poly:
+    """A Poly unchanged, or a word as the one-term Poly with coefficient 1."""
+    return p if isinstance(p, Poly) else Poly.word(p)
+
+
+def _add_into(acc: dict, p: Poly, c=1) -> dict:
+    """Add c * p to the term dict acc in place and return acc (internal).
+
+    A coefficient that cancels to zero is deleted, so acc never stores one
+    and can be wrapped by _raw once the sum is complete.
+    """
+    terms = p._terms.items() if c == 1 else ((w, c * cw) for w, cw in p._terms.items())
+    for w, cw in terms:
+        s = acc.get(w, 0) + cw
+        if s:
+            acc[w] = s
+        else:
+            acc.pop(w, None)
+    return acc
+
+
+def linear(word_fn, p) -> Poly:
+    """Extend word_fn, a map from words to Polys, linearly to p (a Poly or a word)."""
+    acc: dict = {}
+    for w, c in as_poly(p)._terms.items():
+        _add_into(acc, word_fn(w), c)
+    return _raw(acc)
+
+
+def bilinear(word_fn, u, v) -> Poly:
+    """Extend word_fn, a map from word pairs to Polys, bilinearly to u and v."""
+    v = as_poly(v)
+    return linear(lambda wu: linear(lambda wv: word_fn(wu, wv), v), u)
+
+
 # ---------------------------------------------------------------------------
 # text and JSON syntax
 
@@ -361,7 +381,7 @@ def format_composition(c: Composition) -> str:
 
 
 def format_poly(p: Poly) -> str:
-    """Signed term list in graded-lex order, e.g. '2 xyxy + 4 xxyy'."""
+    """Signed term list in graded-lex order, e.g. '4 xxyy + 2 xyxy'."""
     if not p:
         return "0"
     parts = []

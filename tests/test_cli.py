@@ -1,6 +1,9 @@
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +110,35 @@ def test_verify_exit_codes(capsys):
         capsys, "verify", "--weight", "3", "--cutoff", "20000", "--slack", "1e-9"
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "(2)", "--cutoff", "0"],
+        ["eval", "(2)", "--cutoff", "-5"],
+        ["eval", "(2)", "--precision", "0"],
+        ["verify", "--weight", "1"],  # no relation exists: not a vacuous pass
+        ["verify", "--weight", "4", "--families", ","],
+        ["relations", "--weight", "-3"],
+        ["verify", "--weight", "3", "--cutoff", "100", "--slack", "-1"],
+    ],
+)
+def test_out_of_domain_arguments_are_errors(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_readme_examples_print_their_comments(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = re.findall(r"^mzv ((?:dual|shuffle|derive|act) .*?)\s+# (.+)$", readme, re.M)
+    assert len(examples) == 4
+    for command, expected in examples:
+        code, out = run_cli(capsys, *shlex.split(command))
+        assert (code, out) == (0, expected + "\n"), command
 
 
 def test_eval(capsys):

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 from fractions import Fraction
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mzvkit.words import (
     CyclicClass,
@@ -11,6 +11,7 @@ from mzvkit.words import (
     admissible_compositions,
     admissible_words,
     all_words,
+    bilinear,
     colength,
     composition_of,
     compositions,
@@ -21,6 +22,7 @@ from mzvkit.words import (
     is_h0_word,
     is_h1_word,
     length,
+    linear,
     parse_composition,
     parse_poly,
     parse_word,
@@ -33,6 +35,46 @@ from mzvkit.words import (
 )
 
 words_st = st.text(alphabet="xy", max_size=8)
+polys_st = st.dictionaries(
+    st.text(alphabet="xy", max_size=3),
+    st.integers(min_value=-2, max_value=2),  # few values, so terms often cancel
+    max_size=5,
+).map(Poly)
+
+
+def _term_by_term(word_fn, p):
+    """Reference linear extension: one Poly.__add__ per term."""
+    out = Poly.zero()
+    for w, c in p.items():
+        out = out + word_fn(w).scale(c)
+    return out
+
+
+def _word_map(w):
+    # images of different words share terms, e.g. xy -> x - y and yx -> y - x
+    return Poly([(w[:-1], 1), (w[1:], -1)])
+
+
+def _commutator(u, v):
+    return Poly([(u + v, 1), (v + u, -1)])
+
+
+@given(polys_st)
+@example(Poly({"xy": 1, "yx": 1}))
+def test_linear_matches_term_by_term_sum(p):
+    got = linear(_word_map, p)
+    assert got == _term_by_term(_word_map, p)
+    assert all(c for _, c in got.items())
+
+
+@given(polys_st, polys_st)
+@example(Poly({"x": 1, "y": 1}), Poly({"x": 1, "y": 1}))
+def test_bilinear_matches_term_by_term_sum(u, v):
+    got = bilinear(_commutator, u, v)
+    expected = _term_by_term(lambda wu: _term_by_term(lambda wv: _commutator(wu, wv), v), u)
+    assert got == expected
+    assert all(c for _, c in got.items())
+    assert bilinear(_commutator, u, u) == Poly.zero()
 
 
 def test_weight_length_examples():
