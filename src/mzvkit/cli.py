@@ -152,6 +152,7 @@ def _cmd_rank(args, fmt):
 
 
 def _cmd_verify(args, fmt):
+    numerics.check_args(args.cutoff, args.precision, args.slack)
     rels = relations.generate(args.weight, _families(args.families))
     reports = numerics.verify(rels, cutoff=args.cutoff, slack=args.slack, digits=args.precision)
     lines = []

@@ -74,14 +74,18 @@ _mzv_cache: dict = {}
 _cache_lock = threading.Lock()
 
 
-def _check_eval_args(cutoff: int, digits: int) -> None:
+def check_args(cutoff: int, digits: int = DEFAULT_DIGITS, slack: float = DEFAULT_SLACK) -> None:
+    """Reject a cutoff or precision below 1 and a negative or non-finite slack."""
     if cutoff < 1:
         raise DomainError(f"cutoff must be >= 1: {cutoff}")
     if digits < 1:
         raise DomainError(f"precision must be >= 1 digit: {digits}")
+    if not (math.isfinite(slack) and slack >= 0):
+        raise DomainError(f"slack must be finite and >= 0: {slack}")
 
 
 def mzv_tail_bound(c: Composition, cutoff: int) -> float:
+    check_args(cutoff)
     l = len(c)
     if l == 0:
         return 0.0
@@ -99,7 +103,7 @@ def mzv_eval(c: Composition, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT
     c = tuple(c)
     if c and not is_admissible_composition(c):
         raise DomainError(f"composition is not admissible (series diverges): {c}")
-    _check_eval_args(cutoff, digits)
+    check_args(cutoff, digits)
     key = (c, cutoff, digits)
     hit = _mzv_cache.get(key)
     if hit is not None:
@@ -135,7 +139,7 @@ def _mzv_sum(c: Composition, cutoff: int, digits: int) -> Decimal:
 
 def zeta_of_poly(p: Poly, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT_DIGITS) -> EvalResult:
     """Linear extension of mzv_eval; support must be admissible (unit allowed)."""
-    _check_eval_args(cutoff, digits)
+    check_args(cutoff, digits)
     total = Decimal(0)
     tail = 0.0
     with localcontext() as ctx:
@@ -151,11 +155,15 @@ def zeta_of_poly(p: Poly, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT_DI
         return EvalResult(+total, cutoff, tail)
 
 
-def _check_t_args(c: Composition):
+def _check_series_args(c: Composition, k_last: int, cutoff: int) -> None:
+    """T(c) is checked as S(c, 0): both diverge unless some exponent exceeds 1."""
     if not c or any(k < 1 for k in c):
         raise DomainError(f"series arguments must be positive integers: {c}")
-    if max(c) < 2:
-        raise DomainError(f"series diverges: no argument exceeds 1 in {c}")
+    if k_last < 0:
+        raise DomainError(f"last exponent must be >= 0: {k_last}")
+    if max(c) < 2 and k_last < 1:
+        raise DomainError(f"series diverges: {c} with last exponent {k_last}")
+    check_args(cutoff)
 
 
 def _inv_powers(N: int, k: int) -> np.ndarray:
@@ -200,7 +208,7 @@ def t_series_eval(c: Composition, cutoff: int = DEFAULT_ST_CUTOFF) -> EvalResult
     certified bound.
     """
     c = tuple(c)
-    _check_t_args(c)
+    _check_series_args(c, 0, cutoff)
     v = float(_t_sum(c, cutoff))
     v_half = float(_t_sum(c, cutoff // 2))
     return EvalResult(Decimal(repr(v)), cutoff, 2.0 * abs(v - v_half) + _FLOAT_NOISE)
@@ -209,12 +217,7 @@ def t_series_eval(c: Composition, cutoff: int = DEFAULT_ST_CUTOFF) -> EvalResult
 def s_series_eval(c: Composition, k_last: int, cutoff: int = DEFAULT_ST_CUTOFF) -> EvalResult:
     """Coupled series with innermost index j >= 1 carrying exponent k_last >= 0."""
     c = tuple(c)
-    if not c or any(k < 1 for k in c):
-        raise DomainError(f"series arguments must be positive integers: {c}")
-    if k_last < 0:
-        raise DomainError(f"last exponent must be >= 0: {k_last}")
-    if max(c) < 2 and k_last < 1:
-        raise DomainError(f"series diverges: {c} with last exponent {k_last}")
+    _check_series_args(c, k_last, cutoff)
     v = float(_s_sum(c, k_last, cutoff))
     v_half = float(_s_sum(c, k_last, cutoff // 2))
     return EvalResult(Decimal(repr(v)), cutoff, 2.0 * abs(v - v_half) + _FLOAT_NOISE)
@@ -230,8 +233,7 @@ def verify(
 
     No relations at all is an error rather than a vacuous pass.
     """
-    if not (math.isfinite(slack) and slack >= 0):
-        raise DomainError(f"slack must be finite and >= 0: {slack}")
+    check_args(cutoff, digits, slack)
     relations = list(relations)
     if not relations:
         raise DomainError("no relations to verify")

@@ -5,14 +5,14 @@ admissible words, every one a claimed member of the kernel of the zeta
 evaluation.  Elements are normalized (integer coefficients with content 1,
 first coefficient positive in graded-lex order) and deduplicated per family.
 
-Ranks of relation spans are computed by Gaussian elimination over exact
-rationals in the admissible-word basis, with first-nonzero-column pivoting in
-the deterministic word order.
+Ranks of relation spans over the rationals are computed exactly in the
+admissible-word basis by fraction-free integer elimination: every row stays a
+primitive integer vector in echelon form, so no rational arithmetic is needed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -257,44 +257,46 @@ def generate(weight: int, families=FAMILIES) -> list:
 
 
 class RowSpace:
-    """Row space over exact rationals, kept in reduced echelon form."""
+    """Row space over the rationals in integer echelon form, by fraction-free elimination.
+
+    Rows are primitive integer vectors with a positive pivot (first nonzero)
+    entry, keyed by pivot column.  Against the row with pivot p a vector v
+    becomes (row[p]*v - v[p]*row) / gcd(v[p], row[p]), with its content divided out.
+    """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
-        self.rows: list = []  # each row normalized to leading coefficient 1
-        self.pivots: list = []
+        self.rows: dict = {}  # pivot column -> primitive integer row
 
-    def _reduce(self, vec: list) -> list:
-        vec = list(vec)
-        for row, piv in zip(self.rows, self.pivots):
-            c = vec[piv]
-            if c:
-                for j in range(piv, self.ncols):
-                    vec[j] -= c * row[j]
-        return vec
+    def _reduce(self, vec) -> tuple:
+        """(p, v): vec with denominators cleared, reduced until its first nonzero column p
+        has no pivot; p is None when v reduces to zero."""
+        den = lcm(*(c.denominator for c in vec))  # accepts int or Fraction entries
+        v = [c.numerator * (den // c.denominator) for c in vec]
+        for p in range(self.ncols):
+            if not v[p]:
+                continue
+            row = self.rows.get(p)
+            if row is None:
+                return p, v
+            g = gcd(v[p], row[p])
+            a, b = row[p] // g, v[p] // g
+            v[p:] = [a * x - b * y for x, y in zip(v[p:], row[p:])]
+            g = gcd(*v[p:])
+            if g > 1:
+                v[p:] = [x // g for x in v[p:]]
+        return None, v
 
     def add(self, vec) -> bool:
         """Insert a vector; True if it enlarged the span."""
-        vec = self._reduce(vec)
-        for piv in range(self.ncols):
-            if vec[piv]:
-                inv = Fraction(1) / vec[piv]
-                vec = [c * inv for c in vec]
-                for row in self.rows:
-                    c = row[piv]
-                    if c:
-                        for j in range(self.ncols):
-                            row[j] -= c * vec[j]
-                self.rows.append(vec)
-                self.pivots.append(piv)
-                order = sorted(range(len(self.pivots)), key=self.pivots.__getitem__)
-                self.rows = [self.rows[i] for i in order]
-                self.pivots = [self.pivots[i] for i in order]
-                return True
-        return False
+        p, v = self._reduce(vec)
+        if p is not None:
+            g = gcd(*v) if v[p] > 0 else -gcd(*v)
+            self.rows[p] = [x // g for x in v]
+        return p is not None
 
     def contains(self, vec) -> bool:
-        return not any(self._reduce(vec))
+        return self._reduce(vec)[0] is None
 
     @property
     def rank(self) -> int:
@@ -323,14 +325,7 @@ class RankReport:
     relation_counts: dict = field(default_factory=dict)
 
     def to_obj(self) -> dict:
-        return {
-            "weight": self.weight,
-            "basis": self.basis,
-            "family_ranks": self.family_ranks,
-            "relation_counts": self.relation_counts,
-            "cumulative_rank": self.cumulative_rank,
-            "nullity": self.nullity,
-        }
+        return asdict(self)
 
 
 def rank_report(weight: int, families=FAMILIES) -> RankReport:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from mzvkit import relations
 from mzvkit.cli import main
 from mzvkit.words import Poly, poly_from_obj
 
@@ -130,6 +131,16 @@ def test_out_of_domain_arguments_are_errors(capsys, argv):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("bad", [["--slack", "-1"], ["--cutoff", "0"], ["--precision", "0"]])
+def test_verify_checks_arguments_before_generating(monkeypatch, capsys, bad):
+    def generate(*args, **kwargs):
+        raise AssertionError("relations generated before the arguments were checked")
+
+    monkeypatch.setattr(relations, "generate", generate)
+    assert main(["verify", "--weight", "9", *bad]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_readme_examples_print_their_comments(capsys):

@@ -81,6 +81,8 @@ def test_tail_bound_shape():
     assert mzv_tail_bound((), 100) == 0.0
     assert mzv_tail_bound((2,), 10**6) == pytest.approx(1e-6)
     assert mzv_tail_bound((3, 1), 100) < mzv_tail_bound((2, 1), 100)
+    with pytest.raises(DomainError):
+        mzv_tail_bound((2,), 0)
 
 
 def test_zeta_of_poly():
@@ -186,6 +188,13 @@ def test_t_series_preconditions():
         s_series_eval((1,), 0)
     # converges thanks to the last exponent
     s_series_eval((1,), 1, 500)
+    # a cutoff below 1 is an error, not an empty sum with a tiny tail
+    with pytest.raises(DomainError):
+        t_series_eval((2,), -4)
+    with pytest.raises(DomainError):
+        t_series_eval((2,), 0)
+    with pytest.raises(DomainError):
+        s_series_eval((2,), 1, 0)
 
 
 def test_matched_cutoff_tail_identity():

@@ -1,6 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mzvkit.derivations import conjugate, cyclic_C, derivation_D
 from mzvkit.products import harmonic, shuffle
@@ -208,6 +210,69 @@ def test_rowspace():
     assert s.rank == 2
     assert s.contains([one, 2 * one, one])
     assert not s.contains([one * 0, one * 0, one])
+
+
+def _reference_span(rows, probe):
+    """Fraction Gaussian elimination: add outcomes, rank, and whether probe is in the span."""
+    basis = []  # (pivot, row scaled to pivot entry 1), each reduced by the earlier ones
+
+    def reduce(v):
+        for piv, b in basis:
+            v = [x - v[piv] * y for x, y in zip(v, b)]
+        return v
+
+    added = []
+    for r in rows:
+        v = reduce(list(r))
+        piv = next((j for j, x in enumerate(v) if x), None)
+        added.append(piv is not None)
+        if piv is not None:
+            basis.append((piv, [x / v[piv] for x in v]))
+    return added, len(basis), not any(reduce(list(probe)))
+
+
+@st.composite
+def fraction_rows(draw):
+    """Up to 8 rows of up to 8 columns, with repeats and combinations of earlier rows."""
+    ncols = draw(st.integers(1, 8))
+    entries = st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols)
+    scales = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(0, 8)) + 1):  # the last one is the probe
+        if rows and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            m, n = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            row = [m * x + n * y for x, y in zip(a, b)]
+        else:
+            row = draw(entries)
+        rows.append([draw(scales) * x for x in row])
+    return ncols, rows[:-1], rows[-1]
+
+
+@given(fraction_rows())
+def test_rowspace_matches_fraction_reference(case):
+    ncols, rows, probe = case
+    space = RowSpace(ncols)
+    added = [space.add(r) for r in rows]
+    assert (added, space.rank, space.contains(probe)) == _reference_span(rows, probe)
+    for p, row in space.rows.items():  # echelon form of primitive rows, pivot positive
+        assert not any(row[:p]) and row[p] > 0 and gcd(*row) == 1
+
+
+def zagier_dimension(weight: int) -> int:
+    d = [1, 0, 1]  # d_0, d_1, d_2; then d_k = d_(k-2) + d_(k-3)
+    while len(d) <= weight:
+        d.append(d[-2] + d[-3])
+    return d[weight]
+
+
+@pytest.mark.parametrize("weight", range(2, 11))
+def test_nullity_is_zagier_dimension(weight):
+    assert [zagier_dimension(w) for w in range(2, 11)] == [1, 1, 1, 2, 2, 3, 4, 5, 7]
+    assert rank_report(weight).nullity == zagier_dimension(weight)
+    if weight <= 9:
+        pair = rank_report(weight, ["double_shuffle", "hoffman43"])
+        assert pair.nullity == zagier_dimension(weight)
 
 
 def test_rank_weight2():
