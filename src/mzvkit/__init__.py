@@ -87,6 +87,7 @@ from .numerics import (
     EvalResult,
     VerifyReport,
     mzv_eval,
+    mzv_eval_many,
     mzv_tail_bound,
     s_series_eval,
     t_series_eval,

@@ -155,35 +155,22 @@ def _cmd_verify(args, fmt):
     numerics.check_args(args.cutoff, args.precision, args.slack)
     rels = relations.generate(args.weight, _families(args.families))
     reports = numerics.verify(rels, cutoff=args.cutoff, slack=args.slack, digits=args.precision)
-    lines = []
-    ok = True
-    for rep in reports:
-        ok = ok and rep.passed
-        if fmt == "json":
-            lines.append(json.dumps(rep.to_obj(), sort_keys=True))
-        else:
-            status = "pass" if rep.passed else "FAIL"
-            lines.append(
-                f"{status} {rep.relation} residual={rep.residual:.3e} threshold={rep.threshold:.3e}"
-            )
-    return lines, 0 if ok else 1
+    code = 0 if all(rep.passed for rep in reports) else 1
+    if fmt == "json":
+        return [json.dumps(rep.to_obj(), sort_keys=True) for rep in reports], code
+    return [
+        f"{'pass' if rep.passed else 'FAIL'} {rep.relation} "
+        f"residual={rep.residual:.3e} threshold={rep.threshold:.3e}"
+        for rep in reports
+    ], code
 
 
 def _cmd_eval(args, fmt):
     c = parse_composition(args.composition)
     r = numerics.mzv_eval(c, cutoff=args.cutoff, digits=args.precision)
     if fmt == "json":
-        return [
-            json.dumps(
-                {
-                    "composition": list(c),
-                    "value": str(r.value),
-                    "cutoff": r.truncation,
-                    "tail_bound": r.tail_bound,
-                },
-                sort_keys=True,
-            )
-        ], 0
+        obj = dict(composition=list(c), value=str(r.value), cutoff=r.truncation, tail_bound=r.tail_bound)
+        return [json.dumps(obj, sort_keys=True)], 0
     return [f"{format_composition(c)} = {r.value}  (cutoff {r.truncation}, tail <= {r.tail_bound:.3e})"], 0
 
 

@@ -2,7 +2,10 @@
 
 The zeta evaluation of an admissible composition (k1, ..., kl) is the partial
 sum of 1/(n1^k1 ... nl^kl) over n1 > ... > nl >= 1 with n1 <= N, computed by
-a streaming dynamic program over nested prefix sums in O(l * N) operations.
+a streaming dynamic program over nested prefix sums.  The accumulator of level
+i depends only on the suffix (ki, ..., kl), so all compositions evaluated
+together share one pass over their suffix trie: O(#suffix nodes * N)
+operations, with one power (1/n)^k per distinct exponent k per n.
 Sums are accumulated in decimal floating point at a configurable number of
 significant digits (plus guard digits), so truncation error dominates
 rounding error by a wide margin at desk-scale cutoffs.
@@ -21,15 +24,16 @@ verification multiplies it by a slack factor.
 The two auxiliary series with the coupling factor 1/(n1 - n_last) do not
 split into prefix sums, so they are evaluated over (n1, n_last) pairs in
 float64 with vectorized inner products, at an independently capped cutoff;
-their tails are estimated from half-cutoff refinement plus a small absolute
-floor covering float64 accumulation noise across the O(N^2) terms.
+their tails are estimated from half-cutoff refinement (the value at N // 2 is
+taken on the way to N) plus a small absolute floor covering float64
+accumulation noise across the O(N^2) terms.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -62,12 +66,7 @@ class VerifyReport:
     passed: bool
 
     def to_obj(self) -> dict:
-        return {
-            "relation": self.relation,
-            "residual": self.residual,
-            "threshold": self.threshold,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 _mzv_cache: dict = {}
@@ -94,60 +93,79 @@ def mzv_tail_bound(c: Composition, cutoff: int) -> float:
 
 
 def mzv_eval(c: Composition, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT_DIGITS) -> EvalResult:
-    """Truncated zeta value of an admissible composition.
+    """Truncated zeta value of an admissible composition: mzv_eval_many of one."""
+    return mzv_eval_many([c], cutoff, digits)[0]
+
+
+def mzv_eval_many(comps, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT_DIGITS) -> list:
+    """Truncated zeta values of admissible compositions, in order, from one shared pass.
 
     The empty composition is the unit and evaluates to exactly 1.  Results
     are memoized on (composition, cutoff, digits); concurrent duplicate
-    inserts are idempotent.
+    inserts are idempotent.  Every composition is checked before any work.
     """
-    c = tuple(c)
-    if c and not is_admissible_composition(c):
-        raise DomainError(f"composition is not admissible (series diverges): {c}")
+    comps = [tuple(c) for c in comps]
+    for c in comps:
+        if c and not is_admissible_composition(c):
+            raise DomainError(f"composition is not admissible (series diverges): {c}")
     check_args(cutoff, digits)
-    key = (c, cutoff, digits)
-    hit = _mzv_cache.get(key)
-    if hit is not None:
-        return hit
-    if not c:
-        result = EvalResult(Decimal(1), cutoff, 0.0)
-    else:
-        result = EvalResult(_mzv_sum(c, cutoff, digits), cutoff, mzv_tail_bound(c, cutoff))
-    with _cache_lock:
-        _mzv_cache.setdefault(key, result)
-    return _mzv_cache[key]
+    todo = {c for c in comps if (c, cutoff, digits) not in _mzv_cache}
+    if todo:
+        values = _suffix_pass(todo, cutoff, digits)
+        with _cache_lock:
+            for c in todo:
+                result = EvalResult(values[c], cutoff, mzv_tail_bound(c, cutoff))
+                _mzv_cache.setdefault((c, cutoff, digits), result)
+    return [_mzv_cache[(c, cutoff, digits)] for c in comps]
 
 
-def _mzv_sum(c: Composition, cutoff: int, digits: int) -> Decimal:
+def _suffix_pass(comps, cutoff: int, digits: int) -> dict:
+    """Partial sums of compositions by one streaming pass over their suffix trie.
+
+    acc[s] = sum over n >= n_1 > ... > n_l >= 1 of the suffix s so far; the
+    unit () is 1.  Each suffix s gets acc[s] += (1/n)^s[0] * acc[s[1:]], and
+    updating longest suffixes first reads the inner value from step n - 1,
+    which is exactly the strict inequality n_i > n_{i+1}.
+    """
+    nodes = sorted({c[i:] for c in comps for i in range(len(c))}, key=len, reverse=True)
+    row = {s: j for j, s in enumerate(nodes + [()])}
+    exps = sorted({s[0] for s in nodes})
+    links = [(j, exps.index(s[0]), row[s[1:]]) for j, s in enumerate(nodes)]
     with localcontext() as ctx:
         ctx.prec = digits + _GUARD_DIGITS
-        l = len(c)
         one = Decimal(1)
-        # acc[i] = sum over n >= n_i > ... > n_l >= 1 so far; acc[l] is the
-        # empty chain.  Updating outermost-first uses the inner value from
-        # the previous n, which is exactly the strict inequality n_i > n_{i+1}.
-        acc = [Decimal(0)] * l + [one]
-        exps = list(c)
-        for n in range(1, cutoff + 1):
+        acc = [Decimal(0)] * len(nodes) + [one]
+        pows = [one] * len(exps)
+        slots = range(len(exps))
+        steps = range(1, cutoff + 1) if nodes else ()  # the unit alone needs no pass
+        for n in steps:
             inv = one / n
-            for i in range(l):
-                acc[i] += inv ** exps[i] * acc[i + 1]
-        total = acc[0]
+            for e in slots:
+                pows[e] = inv ** exps[e]  # in place: a fresh list per n costs more
+            for j, e, i in links:
+                acc[j] += pows[e] * acc[i]
     with localcontext() as ctx:
         ctx.prec = digits  # guard digits are internal only
-        return +total
+        return {c: +acc[row[c]] for c in comps}
+
+
+def _support(p: Poly) -> list:
+    """Compositions of p's words in items() order; every word must be admissible or empty."""
+    for w in p.support():
+        if w and not (w[0] == "x" and w[-1] == "y"):
+            raise DomainError(f"word is not admissible: {w!r}")
+    return [composition_of(w) for w in p.support()]
 
 
 def zeta_of_poly(p: Poly, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT_DIGITS) -> EvalResult:
     """Linear extension of mzv_eval; support must be admissible (unit allowed)."""
     check_args(cutoff, digits)
+    results = mzv_eval_many(_support(p), cutoff, digits)
     total = Decimal(0)
     tail = 0.0
     with localcontext() as ctx:
         ctx.prec = digits + _GUARD_DIGITS
-        for w, coeff in p.items():
-            if w and not (w[0] == "x" and w[-1] == "y"):
-                raise DomainError(f"word is not admissible: {w!r}")
-            r = mzv_eval(composition_of(w), cutoff, digits)
+        for (_, coeff), r in zip(p.items(), results):
             total += Decimal(coeff.numerator) / Decimal(coeff.denominator) * r.value
             tail += abs(float(coeff)) * r.tail_bound
     with localcontext() as ctx:
@@ -172,8 +190,13 @@ def _inv_powers(N: int, k: int) -> np.ndarray:
     return v
 
 
-def _chain_sum(c: Composition, w: np.ndarray, N: int) -> float:
-    """Partial sum over N >= n1 > ... > nl > j >= 0 of w[j] / (n1^k1 ... nl^kl (n1 - j))."""
+def _chain_sum(c: Composition, w: np.ndarray, N: int) -> EvalResult:
+    """Partial sum over N >= n1 > ... > nl > j >= 0 of w[j] / (n1^k1 ... nl^kl (n1 - j)).
+
+    The tail estimate is the change from the sum at N // 2 (taken on the way to
+    N; 0.0 when N // 2 is 0), doubled for safety, plus the float64 noise floor:
+    an empirical figure, not a certified bound.
+    """
     l = len(c)
     inv = _inv_powers(N, 1)
     pows = [_inv_powers(N, k) for k in c]
@@ -182,45 +205,29 @@ def _chain_sum(c: Composition, w: np.ndarray, N: int) -> float:
     # itself.  Updating i in increasing order keeps each update reading the
     # pre-update (strictly smaller) level.
     levels = [np.zeros(N) for _ in range(l - 1)] + [w]
-    total = 0.0
+    total = half = 0.0
     for n in range(1, N + 1):
         total += pows[0][n] * float(np.dot(levels[0][:n], inv[n:0:-1]))
+        if n == N // 2:
+            half = total
         for i in range(l - 1):
             levels[i][:n] += pows[i + 1][n] * levels[i + 1][:n]
-    return total
-
-
-def _t_sum(c: Composition, N: int) -> float:
-    """Partial sum over n1 > ... > nl > j >= 0, n1 <= N, of the coupled series."""
-    return _chain_sum(c, np.ones(N), N)
-
-
-def _s_sum(c: Composition, k_last: int, N: int) -> float:
-    """Partial sum over n1 > ... > nl > j >= 1 with the extra j^-k_last factor."""
-    return _chain_sum(c, _inv_powers(N - 1, k_last), N)
+    v, v_half = float(total), float(half)
+    return EvalResult(Decimal(repr(v)), N, 2.0 * abs(v - v_half) + _FLOAT_NOISE)
 
 
 def t_series_eval(c: Composition, cutoff: int = DEFAULT_ST_CUTOFF) -> EvalResult:
-    """Coupled series with factor 1/(n1 - j), innermost index j >= 0.
-
-    Requires some argument to exceed 1.  The tail estimate is the half-cutoff
-    refinement delta, doubled for safety; it is an empirical figure, not a
-    certified bound.
-    """
+    """Coupled series with factor 1/(n1 - j), innermost index j >= 0; some argument must exceed 1."""
     c = tuple(c)
     _check_series_args(c, 0, cutoff)
-    v = float(_t_sum(c, cutoff))
-    v_half = float(_t_sum(c, cutoff // 2))
-    return EvalResult(Decimal(repr(v)), cutoff, 2.0 * abs(v - v_half) + _FLOAT_NOISE)
+    return _chain_sum(c, np.ones(cutoff), cutoff)
 
 
 def s_series_eval(c: Composition, k_last: int, cutoff: int = DEFAULT_ST_CUTOFF) -> EvalResult:
     """Coupled series with innermost index j >= 1 carrying exponent k_last >= 0."""
     c = tuple(c)
     _check_series_args(c, k_last, cutoff)
-    v = float(_s_sum(c, k_last, cutoff))
-    v_half = float(_s_sum(c, k_last, cutoff // 2))
-    return EvalResult(Decimal(repr(v)), cutoff, 2.0 * abs(v - v_half) + _FLOAT_NOISE)
+    return _chain_sum(c, _inv_powers(cutoff - 1, k_last), cutoff)
 
 
 def verify(
@@ -237,6 +244,7 @@ def verify(
     relations = list(relations)
     if not relations:
         raise DomainError("no relations to verify")
+    mzv_eval_many({c for rel in relations for c in _support(rel.element)}, cutoff, digits)
     reports = []
     for rel in relations:
         r = zeta_of_poly(rel.element, cutoff, digits)

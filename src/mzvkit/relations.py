@@ -271,8 +271,11 @@ class RowSpace:
     def _reduce(self, vec) -> tuple:
         """(p, v): vec with denominators cleared, reduced until its first nonzero column p
         has no pivot; p is None when v reduces to zero."""
-        den = lcm(*(c.denominator for c in vec))  # accepts int or Fraction entries
-        v = [c.numerator * (den // c.denominator) for c in vec]
+        if any(type(c) is not int for c in vec):  # Fraction entries: clear denominators
+            den = lcm(*(c.denominator for c in vec))
+            v = [c.numerator * (den // c.denominator) for c in vec]
+        else:
+            v = list(vec)  # reduced in place below; the caller's vector is kept
         for p in range(self.ncols):
             if not v[p]:
                 continue
@@ -304,12 +307,13 @@ class RowSpace:
 
 
 def poly_vector(p: Poly, basis: list) -> list:
+    """Coordinates of p in basis; int entries where they are integers, else Fraction."""
     index = {w: i for i, w in enumerate(basis)}
-    vec = [Fraction(0)] * len(basis)
+    vec = [0] * len(basis)
     for w, c in p.items():
         if w not in index:
             raise DomainError(f"word outside the basis: {w!r}")
-        vec[index[w]] = c
+        vec[index[w]] = c.numerator if c.denominator == 1 else c
     return vec
 
 
@@ -339,7 +343,7 @@ def rank_report(weight: int, families=FAMILIES) -> RankReport:
         counts[family] = len(rels)
         solo = RowSpace(len(basis))
         for r in rels:
-            vec = poly_vector(r.element, basis)
+            vec = poly_vector(r.element, basis)  # integers: relations are normalized
             solo.add(vec)
             union.add(vec)
         family_ranks[family] = solo.rank

@@ -1,13 +1,18 @@
 import math
-from decimal import Decimal
+from decimal import Decimal, localcontext
+from unittest import mock
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import mzvkit.numerics as numerics
 from mzvkit.derivations import conjugate, derivation_D
 from mzvkit.numerics import (
     EvalResult,
     mzv_eval,
+    mzv_eval_many,
     mzv_tail_bound,
     s_series_eval,
     t_series_eval,
@@ -152,8 +157,6 @@ def test_coupled_sums_match_bruteforce():
     import itertools
     from fractions import Fraction
 
-    from mzvkit.numerics import _s_sum, _t_sum
-
     n = 14
     for c in ((2,), (2, 1), (1, 2), (3, 1), (2, 1, 1)):
         exact_t = Fraction(0)
@@ -163,7 +166,7 @@ def test_coupled_sums_match_bruteforce():
             for ni, ki in zip(ns, c):
                 term /= Fraction(ni) ** ki
             exact_t += term
-        assert abs(_t_sum(c, n) - float(exact_t)) < 1e-12, c
+        assert abs(float(t_series_eval(c, n).value) - float(exact_t)) < 1e-12, c
 
     for c, klast in (((2,), 1), ((2, 1), 0), ((1, 2), 1), ((2,), 0)):
         exact_s = Fraction(0)
@@ -173,7 +176,78 @@ def test_coupled_sums_match_bruteforce():
             for ni, ki in zip(ns, c):
                 term /= Fraction(ni) ** ki
             exact_s += term
-        assert abs(_s_sum(c, klast, n) - float(exact_s)) < 1e-12, (c, klast)
+        assert abs(float(s_series_eval(c, klast, n).value) - float(exact_s)) < 1e-12, (c, klast)
+
+
+def _reference_sum(c, cutoff, digits):
+    """Each composition with its own streaming loop, no suffix shared."""
+    with localcontext() as ctx:
+        ctx.prec = digits + numerics._GUARD_DIGITS
+        one = Decimal(1)
+        acc = [Decimal(0)] * len(c) + [one]
+        for n in range(1, cutoff + 1):
+            inv = one / n
+            for i in range(len(c)):
+                acc[i] += inv ** c[i] * acc[i + 1]
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return +acc[0]
+
+
+_UP_TO_8 = [()] + [c for w in range(2, 9) for c in admissible_compositions(w)]
+
+
+@given(
+    st.lists(st.sampled_from(_UP_TO_8), max_size=12),
+    st.lists(st.sampled_from(_UP_TO_8), max_size=4),
+    st.integers(1, 300),
+    st.integers(5, 40),
+)
+def test_shared_pass_matches_per_composition_loop(comps, cached, cutoff, digits):
+    # duplicates, the unit and compositions cached beforehand all go through one call
+    with mock.patch.dict(numerics._mzv_cache, clear=True):
+        for c in cached:
+            mzv_eval(c, cutoff, digits)
+        got = mzv_eval_many(comps + cached, cutoff, digits)
+    assert len(got) == len(comps) + len(cached)
+    for c, r in zip(comps + cached, got):
+        assert str(r.value) == str(_reference_sum(c, cutoff, digits)), c
+        assert (r.truncation, r.tail_bound) == (cutoff, mzv_tail_bound(c, cutoff))
+
+
+def _count_passes(monkeypatch) -> list:
+    """Record each suffix pass, starting from an empty cache."""
+    calls = []
+    real = numerics._suffix_pass
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(numerics, "_suffix_pass", spy)
+    monkeypatch.setattr(numerics, "_mzv_cache", {})
+    return calls
+
+
+def test_verify_makes_one_pass_over_the_support_union(monkeypatch):
+    calls = _count_passes(monkeypatch)
+    rels = [r for w in range(2, 8) for r in generate(w)]
+    union = {composition_of(w) for r in rels for w in r.element.support()}
+    reports = verify(rels, cutoff=200)
+    assert len(reports) == len(rels)
+    assert len(calls) == 1
+    assert len(numerics._mzv_cache) == len(union)
+
+
+def test_inadmissible_support_raises_before_any_evaluation(monkeypatch):
+    calls = _count_passes(monkeypatch)
+    p = Poly({"xxy": 1, "xyx": 1})
+    with pytest.raises(DomainError):
+        zeta_of_poly(p, 200)
+    bad = Relation(p, 3, "duality", ())
+    with pytest.raises(DomainError):
+        verify(generate(3) + [bad], cutoff=200)
+    assert calls == [] and numerics._mzv_cache == {}
 
 
 # --- coupled series ----------------------------------------------------------
@@ -239,6 +313,24 @@ def test_rotation_difference_identity():
     rhs = float(z_head.value) - float(z_tail.value)
     tol = 10 * (t1.tail_bound + t2.tail_bound + z_head.tail_bound + z_tail.tail_bound)
     assert abs(lhs - rhs) <= tol
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 51])
+def test_one_pass_refinement_matches_separate_runs(n):
+    # the value at n // 2 taken on the way to n is what a run at n // 2 gives
+    runs = [(t_series_eval, c, (), np.ones) for c in ((2,), (2, 1), (1, 2))]
+    runs += [
+        (s_series_eval, c, (k,), lambda m, k=k: numerics._inv_powers(m - 1, k))
+        for c, k in (((2,), 0), ((2, 1), 1), ((1, 2), 1))
+    ]
+    for series, c, args, weights in runs:
+        r = series(c, *args, n)
+        v = float(numerics._chain_sum(c, weights(n), n).value)
+        v_half = float(numerics._chain_sum(c, weights(n // 2), n // 2).value)
+        if n == 1:
+            assert v_half == 0.0  # the half run is empty
+        assert r.value == Decimal(repr(v)), (c, args)
+        assert r.tail_bound == 2.0 * abs(v - v_half) + numerics._FLOAT_NOISE, (c, args)
 
 
 def test_series_refinement_tail_estimates():
