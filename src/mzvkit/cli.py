@@ -151,10 +151,22 @@ def _cmd_rank(args, fmt):
     return lines, 0
 
 
+def _precision(args) -> int:
+    """--precision if given, else the MZV_PRECISION environment variable, else the default."""
+    if args.precision is not None:
+        return args.precision
+    text = os.environ.get("MZV_PRECISION", str(numerics.DEFAULT_DIGITS))
+    try:
+        return int(text)
+    except ValueError:
+        raise DomainError(f"MZV_PRECISION is not an integer: {text!r}") from None
+
+
 def _cmd_verify(args, fmt):
-    numerics.check_args(args.cutoff, args.precision, args.slack)
+    digits = _precision(args)
+    numerics.check_args(args.cutoff, digits, args.slack)
     rels = relations.generate(args.weight, _families(args.families))
-    reports = numerics.verify(rels, cutoff=args.cutoff, slack=args.slack, digits=args.precision)
+    reports = numerics.verify(rels, cutoff=args.cutoff, slack=args.slack, digits=digits)
     code = 0 if all(rep.passed for rep in reports) else 1
     if fmt == "json":
         return [json.dumps(rep.to_obj(), sort_keys=True) for rep in reports], code
@@ -167,7 +179,7 @@ def _cmd_verify(args, fmt):
 
 def _cmd_eval(args, fmt):
     c = parse_composition(args.composition)
-    r = numerics.mzv_eval(c, cutoff=args.cutoff, digits=args.precision)
+    r = numerics.mzv_eval(c, cutoff=args.cutoff, digits=_precision(args))
     if fmt == "json":
         obj = dict(composition=list(c), value=str(r.value), cutoff=r.truncation, tail_bound=r.tail_bound)
         return [json.dumps(obj, sort_keys=True)], 0
@@ -175,7 +187,6 @@ def _cmd_eval(args, fmt):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    default_digits = int(os.environ.get("MZV_PRECISION", numerics.DEFAULT_DIGITS))
     top = argparse.ArgumentParser(prog="mzv", description=__doc__)
     top.add_argument("--format", choices=("text", "json"), default="text")
     top.add_argument("--out", default=None, help="write output to a file instead of stdout")
@@ -221,13 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", type=int, required=True)
     p.add_argument("--families", default="all")
     p.add_argument("--cutoff", type=int, default=numerics.DEFAULT_CUTOFF)
-    p.add_argument("--precision", type=int, default=default_digits)
+    p.add_argument("--precision", type=int, default=None)
     p.add_argument("--slack", type=float, default=numerics.DEFAULT_SLACK)
 
     p = sub.add_parser("eval", parents=[common], help="evaluate one composition")
     p.add_argument("composition")
     p.add_argument("--cutoff", type=int, default=numerics.DEFAULT_CUTOFF)
-    p.add_argument("--precision", type=int, default=default_digits)
+    p.add_argument("--precision", type=int, default=None)
 
     return top
 
@@ -254,7 +265,11 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(lines, args.out)
+    try:
+        _emit(lines, args.out)
+    except OSError as exc:  # e.g. --out in a missing directory
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return code
 
 

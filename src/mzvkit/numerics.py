@@ -160,7 +160,11 @@ def _support(p: Poly) -> list:
 def zeta_of_poly(p: Poly, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT_DIGITS) -> EvalResult:
     """Linear extension of mzv_eval; support must be admissible (unit allowed)."""
     check_args(cutoff, digits)
-    results = mzv_eval_many(_support(p), cutoff, digits)
+    return _combine(p, mzv_eval_many(_support(p), cutoff, digits), cutoff, digits)
+
+
+def _combine(p: Poly, results, cutoff: int, digits: int) -> EvalResult:
+    """Sum of p's coefficients times results, the values of its support in items() order."""
     total = Decimal(0)
     tail = 0.0
     with localcontext() as ctx:
@@ -244,10 +248,12 @@ def verify(
     relations = list(relations)
     if not relations:
         raise DomainError("no relations to verify")
-    mzv_eval_many({c for rel in relations for c in _support(rel.element)}, cutoff, digits)
+    supports = [_support(rel.element) for rel in relations]  # all checked before any pass
+    union = list({c for support in supports for c in support})
+    value_of = dict(zip(union, mzv_eval_many(union, cutoff, digits)))
     reports = []
-    for rel in relations:
-        r = zeta_of_poly(rel.element, cutoff, digits)
+    for rel, support in zip(relations, supports):
+        r = _combine(rel.element, [value_of[c] for c in support], cutoff, digits)
         residual = abs(float(r.value))
         threshold = slack * r.tail_bound
         label = rel.label() if isinstance(rel, Relation) else str(rel)

@@ -31,6 +31,7 @@ from .words import (
     X,
     Y,
     _add_into,
+    _coeff,
     _raw,
     as_poly,
     composition_of,
@@ -42,7 +43,7 @@ from .words import (
 
 
 class TensorPoly:
-    """Finite rational combination of word-pair tensors u (x) v."""
+    """Finite rational combination of word-pair tensors u (x) v, coefficients as in Poly."""
 
     __slots__ = ("_terms",)
 
@@ -51,7 +52,7 @@ class TensorPoly:
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for pair, c in items:
-                c = Fraction(c)
+                c = _coeff(c)
                 if not c:
                     continue
                 u, v = pair
@@ -59,7 +60,7 @@ class TensorPoly:
                     raise DomainError(f"tensor factor not in the y-ending subalgebra: {pair}")
                 s = clean.get(pair, 0) + c
                 if s:
-                    clean[pair] = s
+                    clean[pair] = _coeff(s)
                 else:
                     del clean[pair]
         self._terms = clean
@@ -67,8 +68,8 @@ class TensorPoly:
     def items(self):
         return sorted(self._terms.items(), key=lambda t: ((len(t[0][0]), t[0][0]), (len(t[0][1]), t[0][1])))
 
-    def coeff(self, u: Word, v: Word) -> Fraction:
-        return self._terms.get((u, v), Fraction(0))
+    def coeff(self, u: Word, v: Word) -> int | Fraction:
+        return self._terms.get((u, v), 0)
 
     def __bool__(self):
         return bool(self._terms)

@@ -306,14 +306,13 @@ class RowSpace:
         return len(self.rows)
 
 
-def poly_vector(p: Poly, basis: list) -> list:
-    """Coordinates of p in basis; int entries where they are integers, else Fraction."""
-    index = {w: i for i, w in enumerate(basis)}
-    vec = [0] * len(basis)
+def poly_vector(p: Poly, index: dict) -> list:
+    """Coordinates of p in a basis given as a word -> position dict."""
+    vec = [0] * len(index)
     for w, c in p.items():
         if w not in index:
             raise DomainError(f"word outside the basis: {w!r}")
-        vec[index[w]] = c.numerator if c.denominator == 1 else c
+        vec[index[w]] = c
     return vec
 
 
@@ -335,6 +334,7 @@ class RankReport:
 def rank_report(weight: int, families=FAMILIES) -> RankReport:
     families = _check_families(weight, families)
     basis = admissible_words(weight)
+    index = {w: i for i, w in enumerate(basis)}
     union = RowSpace(len(basis))
     family_ranks: dict = {}
     counts: dict = {}
@@ -343,7 +343,7 @@ def rank_report(weight: int, families=FAMILIES) -> RankReport:
         counts[family] = len(rels)
         solo = RowSpace(len(basis))
         for r in rels:
-            vec = poly_vector(r.element, basis)  # integers: relations are normalized
+            vec = poly_vector(r.element, index)  # integers: relations are normalized
             solo.add(vec)
             union.add(vec)
         family_ranks[family] = solo.rank

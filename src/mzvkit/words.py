@@ -1,10 +1,12 @@
 """Exact-arithmetic words and polynomials over the two-letter alphabet {x, y}.
 
 A word is a plain string over "xy"; the empty string is the multiplicative
-unit.  A Poly is a finite linear combination of words with exact Fraction
-coefficients (zero coefficients are never stored).  Compositions -- tuples of
-positive integers -- give the exponent view of words ending in y through the
-bijection (k1, ..., kl) <-> x^(k1-1) y x^(k2-1) y ... x^(kl-1) y.
+unit.  A Poly is a finite linear combination of words with exact rational
+coefficients in canonical form: an int when integral, else a Fraction, never
+zero.  Both compare, hash and print alike; ints keep the mostly integral word
+algebra off the slow Fraction path.  Compositions -- tuples of positive
+integers -- give the exponent view of words ending in y through the bijection
+(k1, ..., kl) <-> x^(k1-1) y x^(k2-1) y ... x^(kl-1) y.
 
 A Poly is immutable after construction and safe to share across threads.
 Word maps are extended to Polys by `linear` and `bilinear`, which sum into
@@ -189,7 +191,7 @@ def _term_key(w: Word):
 
 
 class Poly:
-    """Finite rational linear combination of words.
+    """Finite rational linear combination of words, coefficients in canonical form.
 
     Immutable by convention: no method mutates self, so values can be cached
     and shared freely.  `+`, `-` are linear; `*` is the concatenation product
@@ -205,13 +207,11 @@ class Poly:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for w, c in items:
                 check_word(w)
-                c = Fraction(c)
+                c = clean.get(w, 0) + _coeff(c)
                 if c:
-                    c = clean.get(w, 0) + c
-                    if c:
-                        clean[w] = c
-                    else:
-                        del clean[w]
+                    clean[w] = _coeff(c)
+                else:
+                    clean.pop(w, None)
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_hash", None)
 
@@ -231,8 +231,8 @@ class Poly:
         """Terms as (word, coefficient) pairs in graded-lex order."""
         return sorted(self._terms.items(), key=lambda t: _term_key(t[0]))
 
-    def coeff(self, w: Word) -> Fraction:
-        return self._terms.get(w, Fraction(0))
+    def coeff(self, w: Word) -> int | Fraction:
+        return self._terms.get(w, 0)
 
     def support(self) -> list:
         return sorted(self._terms, key=_term_key)
@@ -288,10 +288,10 @@ class Poly:
         return out
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
+        c = _coeff(c)
         if not c:
             return Poly.zero()
-        return _raw({w: cc * c for w, cc in self._terms.items()})
+        return _raw(_add_into({}, self, c))
 
     def tau(self) -> "Poly":
         """Apply the anti-automorphism swapping x and y to every word."""
@@ -325,8 +325,17 @@ class Poly:
         return format_poly(self)
 
 
+def _coeff(c) -> int | Fraction:
+    """The canonical form of the rational c: an int if integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _raw(terms: dict) -> Poly:
-    """Wrap an already-clean dict without re-validation (internal)."""
+    """Wrap a dict of canonical nonzero coefficients without re-validation (internal)."""
     p = Poly.__new__(Poly)
     object.__setattr__(p, "_terms", terms)
     object.__setattr__(p, "_hash", None)
@@ -341,14 +350,14 @@ def as_poly(p) -> Poly:
 def _add_into(acc: dict, p: Poly, c=1) -> dict:
     """Add c * p to the term dict acc in place and return acc (internal).
 
-    A coefficient that cancels to zero is deleted, so acc never stores one
-    and can be wrapped by _raw once the sum is complete.
+    A coefficient that cancels to zero is deleted and an integral Fraction
+    becomes an int, so acc stays canonical and can be wrapped by _raw.
     """
     terms = p._terms.items() if c == 1 else ((w, c * cw) for w, cw in p._terms.items())
     for w, cw in terms:
         s = acc.get(w, 0) + cw
         if s:
-            acc[w] = s
+            acc[w] = s if type(s) is int else _coeff(s)
         else:
             acc.pop(w, None)
     return acc

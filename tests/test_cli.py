@@ -123,9 +123,15 @@ def test_verify_exit_codes(capsys):
         ["verify", "--weight", "4", "--families", ","],
         ["relations", "--weight", "-3"],
         ["verify", "--weight", "3", "--cutoff", "100", "--slack", "-1"],
+        ["--out", f"{__file__}/out.txt", "eval", "(2)", "--cutoff", "10"],  # not a directory
+        ["MZV_PRECISION=abc", "eval", "(2)"],
     ],
 )
-def test_out_of_domain_arguments_are_errors(capsys, argv):
+def test_out_of_domain_arguments_are_errors(monkeypatch, capsys, argv):
+    while "=" in argv[0]:  # leading NAME=value items set the environment, as in a shell
+        name, value = argv[0].split("=", 1)
+        monkeypatch.setenv(name, value)
+        argv = argv[1:]
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 1
@@ -141,6 +147,35 @@ def test_verify_checks_arguments_before_generating(monkeypatch, capsys, bad):
     monkeypatch.setattr(relations, "generate", generate)
     assert main(["verify", "--weight", "9", *bad]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# Byte-exact stdout of a fixed command set, recorded from the CLI when all
+# coefficients were Fractions.  Regenerate a file (main's stdout for its argv
+# below) only when a change to the output is intended and stated.
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+GOLDEN = {
+    f"series_{op}_{w}.{ext}": fmt + ["series", "--op", op, "--order", "6", w]
+    for op in ("sigma", "exp-partial", "phi")
+    for w in ("xy", "yxy")
+    for ext, fmt in (("txt", []), ("json", ["--format", "json"]))
+}
+GOLDEN.update(
+    {
+        f"derive_{op}_xxyxy.txt": ["derive", "--op", op, "--n", "2", "xxyxy"]
+        for op in ("D", "Dbar", "Dn", "partial_n", "C", "Cbar")
+    }
+)
+GOLDEN["act_hn3_xyxy.txt"] = ["act", "--elem", "hn", "--n", "3", "xyxy"]
+GOLDEN["relations_w6.txt"] = ["relations", "--weight", "6"]
+GOLDEN["relations_w6.json"] = ["--format", "json", "relations", "--weight", "6"]
+GOLDEN["rank_w8.json"] = ["--format", "json", "rank", "--weight", "8"]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_output(capsys, name):
+    code, out = run_cli(capsys, *GOLDEN[name])
+    assert code == 0
+    assert out.encode() == (GOLDEN_DIR / name).read_bytes()
 
 
 def test_readme_examples_print_their_comments(capsys):
