@@ -32,7 +32,6 @@ accumulation noise across the O(N^2) terms.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import asdict, dataclass
 from decimal import Decimal, localcontext
 
@@ -70,7 +69,6 @@ class VerifyReport:
 
 
 _mzv_cache: dict = {}
-_cache_lock = threading.Lock()
 
 
 def check_args(cutoff: int, digits: int = DEFAULT_DIGITS, slack: float = DEFAULT_SLACK) -> None:
@@ -101,8 +99,8 @@ def mzv_eval_many(comps, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT_DIG
     """Truncated zeta values of admissible compositions, in order, from one shared pass.
 
     The empty composition is the unit and evaluates to exactly 1.  Results
-    are memoized on (composition, cutoff, digits); concurrent duplicate
-    inserts are idempotent.  Every composition is checked before any work.
+    are memoized on (composition, cutoff, digits).  Every composition is
+    checked before any work.
     """
     comps = [tuple(c) for c in comps]
     for c in comps:
@@ -112,10 +110,9 @@ def mzv_eval_many(comps, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT_DIG
     todo = {c for c in comps if (c, cutoff, digits) not in _mzv_cache}
     if todo:
         values = _suffix_pass(todo, cutoff, digits)
-        with _cache_lock:
-            for c in todo:
-                result = EvalResult(values[c], cutoff, mzv_tail_bound(c, cutoff))
-                _mzv_cache.setdefault((c, cutoff, digits), result)
+        for c in todo:
+            result = EvalResult(values[c], cutoff, mzv_tail_bound(c, cutoff))
+            _mzv_cache[(c, cutoff, digits)] = result
     return [_mzv_cache[(c, cutoff, digits)] for c in comps]
 
 

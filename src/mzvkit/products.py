@@ -15,8 +15,6 @@ The harmonic (stuffle) product models multiplication of nested series:
       + x^(p+q-1) y (w1 * w2).
 
 Both recursions are memoized on word pairs; Poly inputs extend bilinearly.
-The word-level caches are only ever filled with immutable values, so
-concurrent readers are safe.
 """
 
 from __future__ import annotations

@@ -11,19 +11,22 @@ The action of that algebra on arbitrary words is generated by
     1 . w = w,   u . x = 0,   u . y = x^k y if u = z_k else 0,
     u . (w1 w2) = sum over the coproduct of (u' . w1)(u'' . w2),
 
-and acting by z_n reproduces the derivation with y -> x^n y.  Truncated
+and acting by z_n reproduces the derivation D_n with y -> x^n y.  Truncated
 power series in a central variable t carry the induced automorphisms: the
-h-series action sigma_t, its inverse via the alternating e-series, and the
-exponential of the graded antisymmetric derivations.
+h-series action sigma_t, its inverse via the alternating e-series, and
+exp(sum_n t^n d_n / n) for the D_n (sigma_t again) and the antisymmetric
+partial_n (sigma_bar_t sigma_t^(-1), by Ihara-Kaneko-Zagier).  The d_n of
+each family commute, so that exponential is an integer recursion in t.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
+from math import factorial
 from typing import Mapping
 
-from .derivations import Derivation, derivation_Dn, ihara_kaneko
+from .derivations import derivation_Dn, ihara_kaneko
 from .words import (
     DomainError,
     Poly,
@@ -202,9 +205,6 @@ class TruncatedSeries:
     def scale(self, c) -> "TruncatedSeries":
         return TruncatedSeries({k: p.scale(c) for k, p in self._coeffs.items()}, self.order)
 
-    def map_coeffs(self, fn) -> "TruncatedSeries":
-        return TruncatedSeries({k: fn(p) for k, p in self._coeffs.items()}, self.order)
-
     def _check(self, other):
         if self.order != other.order:
             raise DomainError(f"truncation orders differ: {self.order} != {other.order}")
@@ -253,43 +253,38 @@ def phi_bar_sigma(p, order: int) -> TruncatedSeries:
 
 
 def _exp_graded_derivation(der_of_index, p: Poly, order: int) -> TruncatedSeries:
-    """exp of sum_n t^n d_n / n applied to a constant series.
+    """exp(sum_n t^n d_n / n) p for pairwise commuting derivations d_n.
 
-    The operator raises t-degree by at least 1, so at truncation order N only
-    N iterated applications contribute and the exponential is a finite sum;
-    its m-th term is the operator applied to the (m-1)-th, divided by m.
+    Then t E' = (sum_n t^n d_n) E for the series E, so m E_m = sum_{n=1..m}
+    d_n E_{m-n}, and F_m = m! E_m obeys the integer recursion F_0 = p,
+    F_m = sum_{n=1..m} (m-1)!/(m-n)! d_n F_{m-n}; only the division by m! at
+    output leaves the integers.  Both families commute: D_n D_m y = x^(n+m) y,
+    and partial_n fixes z = x + y and sends x to x z^(n-1) (z-x), so
+    partial_n partial_m x = x z^(n+m-1) (z-x) - x z^(n-1) x z^(m-1) (z-x)
+    - x z^(m-1) x z^(n-1) (z-x) is symmetric in n and m.
     """
-    term = total = TruncatedSeries.constant(p, order)
+    f = [p]
     for m in range(1, order + 1):
-        term = _series_sum(
-            (
-                (k + n, der_of_index(n).apply(q), Fraction(1, n * m))
-                for k, q in term.items()
-                for n in range(1, order - k + 1)
-            ),
-            order,
-        )
-        total = total + term
-    return total
+        acc: dict = {}
+        c = 1  # (m-1)!/(m-n)!
+        for n in range(1, m + 1):
+            _add_into(acc, der_of_index(n).apply(f[m - n]), c)
+            c *= m - n
+        f.append(_raw(acc))
+    return TruncatedSeries(
+        {m: fm.scale(Fraction(1, factorial(m))) for m, fm in enumerate(f)}, order
+    )
 
 
-@lru_cache(maxsize=None)
-def _dn(n: int) -> Derivation:
-    return derivation_Dn(n)
-
-
-@lru_cache(maxsize=None)
-def _partial(n: int) -> Derivation:
-    return ihara_kaneko(n)
+_dn = lru_cache(maxsize=None)(derivation_Dn)
+_partial = lru_cache(maxsize=None)(ihara_kaneko)
 
 
 def sigma_t_exp(p, order: int) -> TruncatedSeries:
     """sigma_t computed as exp of the weighted sum of the y -> x^n y derivations."""
-    p = as_poly(p)
-    return _exp_graded_derivation(_dn, p, order)
+    return _exp_graded_derivation(_dn, as_poly(p), order)
 
 
 def exp_partial_t(p, order: int) -> TruncatedSeries:
     """exp of the weighted sum of the antisymmetric derivations."""
-    p = as_poly(p)
-    return _exp_graded_derivation(_partial, p, order)
+    return _exp_graded_derivation(_partial, as_poly(p), order)

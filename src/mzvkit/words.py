@@ -8,7 +8,7 @@ algebra off the slow Fraction path.  Compositions -- tuples of positive
 integers -- give the exponent view of words ending in y through the bijection
 (k1, ..., kl) <-> x^(k1-1) y x^(k2-1) y ... x^(kl-1) y.
 
-A Poly is immutable after construction and safe to share across threads.
+A Poly is immutable after construction.
 Word maps are extended to Polys by `linear` and `bilinear`, which sum into
 one internal mutable term dict (`_add_into`) and wrap it as a Poly only when
 the sum is complete; Poly's `+`, `-` and `*` use the same accumulator.
@@ -225,7 +225,9 @@ class Poly:
 
     @classmethod
     def word(cls, w: Word, coeff=1) -> "Poly":
-        return cls({w: coeff})
+        check_word(w)
+        c = _coeff(coeff)
+        return _raw({w: c} if c else {})
 
     def items(self) -> list:
         """Terms as (word, coefficient) pairs in graded-lex order."""
@@ -445,6 +447,12 @@ _TERM_RE = re.compile(
 )
 
 
+def _ratio(num: int, den: int) -> Fraction:
+    if not den:
+        raise DomainError(f"zero denominator: {num}/{den}")
+    return Fraction(num, den)
+
+
 def parse_poly(text: str) -> Poly:
     """Parse the output of format_poly back into a Poly."""
     s = text.strip()
@@ -456,7 +464,7 @@ def parse_poly(text: str) -> Poly:
         m = _TERM_RE.match(s, pos)
         if not m or m.end() == pos or (m.group("num") is None and m.group("word") is None):
             raise DomainError(f"cannot parse poly near {s[pos:]!r}")
-        c = Fraction(int(m.group("num") or 1), int(m.group("den") or 1))
+        c = _ratio(int(m.group("num") or 1), int(m.group("den") or 1))
         if m.group("sign") == "-":
             c = -c
         w = m.group("word") or "1"
@@ -477,5 +485,5 @@ def poly_from_obj(obj: Iterable) -> Poly:
     terms = []
     for t in obj:
         w = t["word"]
-        terms.append(("" if w == "1" else w, Fraction(t["num"], t["den"])))
+        terms.append(("" if w == "1" else w, _ratio(t["num"], t["den"])))
     return Poly(terms)

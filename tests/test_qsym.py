@@ -1,7 +1,7 @@
 import pytest
 from fractions import Fraction
 
-from mzvkit.derivations import derivation_Dn
+from mzvkit.derivations import derivation_Dn, ihara_kaneko
 from mzvkit.products import harmonic
 from mzvkit.qsym import (
     TensorPoly,
@@ -219,6 +219,40 @@ def test_exp_partial_equals_phi():
     for n in range(0, 6):
         for w in all_words(n):
             assert exp_partial_t(w, 6) == phi_bar_sigma(w, 6)
+
+
+def _exp_reference(der_of_index, p, order):
+    """exp(sum_n t^n d_n / n) p, term by term: the m-th term of the exponential
+    is the operator applied to the (m-1)-th, divided by m."""
+    term = total = TruncatedSeries.constant(Poly.word(p), order)
+    for m in range(1, order + 1):
+        out = {}
+        for k, q in term.items():
+            for n in range(1, order - k + 1):
+                image = der_of_index(n).apply(q).scale(Fraction(1, n * m))
+                out[k + n] = out.get(k + n, Poly.zero()) + image
+        term = TruncatedSeries(out, order)
+        total = total + term
+    return total
+
+
+def test_graded_derivations_commute():
+    # the premise of the integer recursion behind exp_partial_t and sigma_t_exp
+    for family in (derivation_Dn, ihara_kaneko):
+        d = {n: family(n) for n in range(1, 6)}
+        for k in range(0, 7):
+            for w in all_words(k):
+                image = {n: d[n].apply(w) for n in d}
+                for n in range(1, 6):
+                    for m in range(n + 1, 6):
+                        assert d[n].apply(image[m]) == d[m].apply(image[n])
+
+
+def test_exp_series_match_literal_exponential():
+    for n in range(0, 4):
+        for w in all_words(n):
+            assert exp_partial_t(w, 5) == _exp_reference(ihara_kaneko, w, 5)
+            assert sigma_t_exp(w, 5) == _exp_reference(derivation_Dn, w, 5)
 
 
 def test_exp_partial_is_automorphism():

@@ -220,6 +220,11 @@ def test_poly_arithmetic():
     assert Poly.word("xy") + Poly.word("xy", -1) == Poly.zero()
     assert 2 * x == Poly.word("x", 2) == x * 2
     assert Fraction(1, 2) * Poly.word("x", 2) == x
+    assert Poly.word("xy", 0) == Poly.zero()
+    assert type(Poly.word("xy", Fraction(4, 2)).coeff("xy")) is int
+    for coeff in (1, 0):
+        with pytest.raises(DomainError):
+            Poly.word("xz", coeff)
     assert (x + y) ** 2 == Poly({"xx": 1, "xy": 1, "yx": 1, "yy": 1})
     assert Poly.one() * x == x
     assert -(x - y) == y - x
@@ -251,6 +256,8 @@ def test_format_and_parse_poly():
     assert parse_poly("0") == Poly.zero()
     r = Poly({"": Fraction(-3, 2), "xy": 1})
     assert parse_poly(format_poly(r)) == r
+    with pytest.raises(DomainError):
+        parse_poly("1/0 xy")
 
 
 def test_poly_json_roundtrip():
@@ -258,6 +265,8 @@ def test_poly_json_roundtrip():
     assert poly_from_obj(poly_to_obj(p)) == p
     obj = poly_to_obj(p)
     assert obj[0]["word"] == "1"
+    with pytest.raises(DomainError):
+        poly_from_obj([{"word": "xy", "num": 1, "den": 0}])
 
 
 def test_parse_word_forms():
