@@ -19,6 +19,7 @@ implementations for cross-checking.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -28,7 +29,10 @@ from .words import (
     Word,
     X,
     Y,
+    _add_into,
+    _raw,
     all_words,
+    check_word,
     composition_of,
     linear,
     tau,
@@ -55,9 +59,10 @@ class Derivation:
 
 @lru_cache(maxsize=None)
 def _apply_word(d: Derivation, w: Word) -> Poly:
-    return Poly(
-        (w[:i] + v + w[i + 1 :], c) for i, a in enumerate(w) for v, c in d.image_of(a).items()
-    )
+    acc: dict = {}
+    for i, a in enumerate(w):  # w[:i] + v + w[i + 1 :] is injective in v
+        _add_into(acc, _raw({w[:i] + v + w[i + 1 :]: c for v, c in d.image_of(a).items()}))
+    return _raw(acc)
 
 
 def derivation_D() -> Derivation:
@@ -113,7 +118,9 @@ def _cyclic_word(w: Word) -> Poly:
 
 def cyclic_C_pair(w: Word, f: Word) -> Poly:
     """Full pairing (C(w), f); reduces to cyclic_C at f = the unit word."""
-    return Poly((X + w[i + 1 :] + f + w[:i] + Y, 1) for i, a in enumerate(w) if a == Y)
+    check_word(w + f)
+    rotations = Counter(X + w[i + 1 :] + f + w[:i] + Y for i, a in enumerate(w) if a == Y)
+    return _raw(dict(rotations))
 
 
 def cyclic_C_bar(p) -> Poly:
@@ -129,7 +136,7 @@ def cyclic_C_zform(w: Word) -> Poly:
     position-based implementation, for cross-checking.
     """
     c = composition_of(w)
-    return Poly((word_of((c[j] + 1,) + c[j + 1 :] + c[:j]), 1) for j in range(len(c)))
+    return _raw(dict(Counter(word_of((c[j] + 1,) + c[j + 1 :] + c[:j]) for j in range(len(c)))))
 
 
 def cyclic_C_bar_zform(w: Word) -> Poly:
@@ -139,9 +146,6 @@ def cyclic_C_bar_zform(w: Word) -> Poly:
     of  z_{ij - q} z_{i(j+1)} ... z_{i(j-1)} z_{q+1}.
     """
     c = composition_of(w)
-    return Poly(
-        (word_of((k - q,) + c[j + 1 :] + c[:j] + (q + 1,)), 1)
-        for j, k in enumerate(c)
-        for q in range(k - 1)
-    )
+    zs = ((k - q,) + c[j + 1 :] + c[:j] + (q + 1,) for j, k in enumerate(c) for q in range(k - 1))
+    return _raw(dict(Counter(map(word_of, zs))))
 

@@ -5,10 +5,16 @@ sum of 1/(n1^k1 ... nl^kl) over n1 > ... > nl >= 1 with n1 <= N, computed by
 a streaming dynamic program over nested prefix sums.  The accumulator of level
 i depends only on the suffix (ki, ..., kl), so all compositions evaluated
 together share one pass over their suffix trie: O(#suffix nodes * N)
-operations, with one power (1/n)^k per distinct exponent k per n.
-Sums are accumulated in decimal floating point at a configurable number of
-significant digits (plus guard digits), so truncation error dominates
-rounding error by a wide margin at desk-scale cutoffs.
+operations, with one power 2^B // n^k per distinct exponent k per n.
+Sums are integers at scale 2^B, floored at every product and divided by 2^B
+once at the end, so a suffix of length m falls short of 2^B times its sum by
+some E >= 0.  Flooring 2^B / n^k and the product makes a step add less than
+E_i / n^k + A_i + 1 to E, with E_i and A_i <= H_N^(m-1) the shortfall and
+sum of the inner suffix (H_N the harmonic number), so by induction
+E <= m N (1 + H_N^(m-1)) <= d N L^d, with L = 1 + bit_length(N) > H_N and d
+the largest depth.  A sum of depth l <= N and weight w is at least its term
+(l, ..., 1) >= d^(-w), so 2^B > 10^(digits + guard digits) * d N L^d d^w
+keeps the relative error below 10^-(digits + guard digits).
 
 The truncation tail of the zeta sum is estimated by
 
@@ -33,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 
 import numpy as np
 
@@ -109,41 +115,42 @@ def mzv_eval_many(comps, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT_DIG
     check_args(cutoff, digits)
     todo = {c for c in comps if (c, cutoff, digits) not in _mzv_cache}
     if todo:
-        values = _suffix_pass(todo, cutoff, digits)
+        bits, sums = _suffix_pass(todo, cutoff, digits)
+        ctx = Context(prec=digits)
         for c in todo:
-            result = EvalResult(values[c], cutoff, mzv_tail_bound(c, cutoff))
-            _mzv_cache[(c, cutoff, digits)] = result
+            value = ctx.divide(sums[c], 1 << bits)
+            _mzv_cache[(c, cutoff, digits)] = EvalResult(value, cutoff, mzv_tail_bound(c, cutoff))
     return [_mzv_cache[(c, cutoff, digits)] for c in comps]
 
 
-def _suffix_pass(comps, cutoff: int, digits: int) -> dict:
-    """Partial sums of compositions by one streaming pass over their suffix trie.
+def _suffix_pass(comps, cutoff: int, digits: int) -> tuple:
+    """Bits B and 2^B times each partial sum, rounded down, from one pass over the suffix trie.
 
-    acc[s] = sum over n >= n_1 > ... > n_l >= 1 of the suffix s so far; the
-    unit () is 1.  Each suffix s gets acc[s] += (1/n)^s[0] * acc[s[1:]], and
-    updating longest suffixes first reads the inner value from step n - 1,
-    which is exactly the strict inequality n_i > n_{i+1}.
+    acc[s] = 2^B * sum over n >= n_1 > ... > n_l >= 1 of the suffix s so far;
+    the unit () is 2^B.  Each suffix s gets acc[s] += (2^B // n^k) * acc[s[1:]]
+    >> B with k = s[0], and updating longest suffixes first reads the inner
+    value from step n - 1, which is exactly the strict inequality n_i > n_{i+1}.
+    B is chosen from the rounding term proved in the module docstring; a sum
+    with no terms stays exactly 0.
     """
+    d, w = max(map(len, comps)), max(map(sum, comps))
+    L = 1 + cutoff.bit_length()
+    bits = (10 ** (digits + _GUARD_DIGITS) * d * cutoff * L**d * d**w).bit_length()
     nodes = sorted({c[i:] for c in comps for i in range(len(c))}, key=len, reverse=True)
     row = {s: j for j, s in enumerate(nodes + [()])}
     exps = sorted({s[0] for s in nodes})
     links = [(j, exps.index(s[0]), row[s[1:]]) for j, s in enumerate(nodes)]
-    with localcontext() as ctx:
-        ctx.prec = digits + _GUARD_DIGITS
-        one = Decimal(1)
-        acc = [Decimal(0)] * len(nodes) + [one]
-        pows = [one] * len(exps)
-        slots = range(len(exps))
-        steps = range(1, cutoff + 1) if nodes else ()  # the unit alone needs no pass
-        for n in steps:
-            inv = one / n
-            for e in slots:
-                pows[e] = inv ** exps[e]  # in place: a fresh list per n costs more
-            for j, e, i in links:
-                acc[j] += pows[e] * acc[i]
-    with localcontext() as ctx:
-        ctx.prec = digits  # guard digits are internal only
-        return {c: +acc[row[c]] for c in comps}
+    one = 1 << bits
+    acc = [0] * len(nodes) + [one]
+    pows = [0] * len(exps)
+    slots = range(len(exps))
+    steps = range(1, cutoff + 1) if nodes else ()  # the unit alone needs no pass
+    for n in steps:
+        for e in slots:
+            pows[e] = one // n ** exps[e]  # in place: a fresh list per n costs more
+        for j, e, i in links:
+            acc[j] += pows[e] * acc[i] >> bits
+    return bits, {c: acc[row[c]] for c in comps}
 
 
 def _support(p: Poly) -> list:

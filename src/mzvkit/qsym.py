@@ -160,10 +160,6 @@ class TruncatedSeries:
             k: p for k, p in coeffs.items() if 0 <= k <= order and p
         }
 
-    @classmethod
-    def constant(cls, p: Poly, order: int) -> "TruncatedSeries":
-        return cls({0: p}, order)
-
     def coeff(self, k: int) -> Poly:
         return self._coeffs.get(k, Poly.zero())
 

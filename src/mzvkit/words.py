@@ -306,19 +306,9 @@ class Poly:
             return weights.pop()
         return None
 
-    def graded_parts(self) -> dict:
-        """Split into weight-homogeneous parts, keyed by weight."""
-        parts: dict = {}
-        for w, c in self._terms.items():
-            parts.setdefault(len(w), {})[w] = c
-        return {k: _raw(v) for k, v in sorted(parts.items())}
-
     def length_part(self, l: int) -> "Poly":
         """Terms whose words contain exactly l letters y."""
         return _raw({w: c for w, c in self._terms.items() if w.count(Y) == l})
-
-    def supported_in_h0(self) -> bool:
-        return all(is_h0_word(w) for w in self._terms)
 
     def __repr__(self) -> str:
         return f"Poly({format_poly(self)!r})"

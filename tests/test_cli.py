@@ -193,6 +193,11 @@ def test_eval(capsys):
     assert obj["composition"] == [2]
     assert obj["value"].startswith("1.644")
     assert obj["cutoff"] == 10000
+    # depth above the cutoff: a sum with no terms is exactly 0
+    code, out = run_cli(capsys, "eval", "(2,1,1,1,1)", "--cutoff", "3")
+    assert (code, out) == (0, "(2,1,1,1,1) = 0  (cutoff 3, tail <= 6.466e+00)\n")
+    code, out = run_cli(capsys, "--format", "json", "eval", "(2,1,1)", "--cutoff", "2")
+    assert json.loads(out)["value"] == "0"
 
 
 def test_global_flags_after_subcommand(capsys):

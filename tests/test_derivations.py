@@ -88,6 +88,10 @@ def test_cyclic_canonical_examples():
 def test_cyclic_pair_examples():
     assert cyclic_C_pair("y", "xy") == Poly.word("xxyy")
     assert cyclic_C_pair("x", "xy") == Poly.zero()
+    assert cyclic_C_pair("yy", "") == Poly({"xyy": 2})  # equal rotations accumulate
+    for w, f in (("xz", ""), ("y", "z")):
+        with pytest.raises(DomainError):
+            cyclic_C_pair(w, f)
     for i in range(1, 5):
         zi = word_of((i,))
         for f in ("", "x", "xy", "yx"):

@@ -1,5 +1,6 @@
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from unittest import mock
 
 import mpmath
@@ -137,7 +138,6 @@ def test_tau_invariance_numeric():
 def test_mzv_partial_sum_matches_bruteforce():
     # exact enumeration over strictly decreasing index tuples at a tiny cutoff
     import itertools
-    from fractions import Fraction
 
     n = 12
     for wt in range(2, 5):
@@ -150,12 +150,14 @@ def test_mzv_partial_sum_matches_bruteforce():
                     term /= Fraction(ni) ** ki
                 exact += term
             got = mzv_eval(c, n, digits=30).value
-            assert abs(float(got) - float(exact)) < 1e-25, c
+            half_unit = Fraction(10) ** (got.adjusted() - 29) / 2
+            bits, _ = numerics._suffix_pass([c], n, 30)
+            tol = half_unit + _rounding_term(c, n) / 2**bits
+            assert abs(Fraction(got) - exact) <= tol, c
 
 
 def test_coupled_sums_match_bruteforce():
     import itertools
-    from fractions import Fraction
 
     n = 14
     for c in ((2,), (2, 1), (1, 2), (3, 1), (2, 1, 1)):
@@ -177,6 +179,40 @@ def test_coupled_sums_match_bruteforce():
                 term /= Fraction(ni) ** ki
             exact_s += term
         assert abs(float(s_series_eval(c, klast, n).value) - float(exact_s)) < 1e-12, (c, klast)
+
+
+def _rounding_term(c, cutoff):
+    """The documented bound m N (1 + H_N^(m-1)) on 2^B times the kernel's shortfall."""
+    harmonic = sum(Fraction(1, n) for n in range(1, cutoff + 1))
+    return len(c) * cutoff * (1 + harmonic ** (len(c) - 1))
+
+
+def _exact_sums(comps, cutoff):
+    """Exact partial sums by the same streaming recursion in Fractions."""
+    out = {}
+    for c in comps:
+        acc = [Fraction(0)] * len(c) + [Fraction(1)]
+        for n in range(1, cutoff + 1):
+            for i in range(len(c)):
+                acc[i] += acc[i + 1] / n ** c[i]
+        out[c] = acc[0]
+    return out
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 7, 40])
+@pytest.mark.parametrize("digits", [1, 12])
+def test_fixed_point_error_is_one_sided_and_within_the_rounding_term(cutoff, digits):
+    comps = [c for w in range(2, 7) for c in admissible_compositions(w)]
+    exact = _exact_sums(comps, cutoff)
+    bits, sums = numerics._suffix_pass(comps, cutoff, digits)
+    for c in comps:
+        scaled, term = 2**bits * exact[c], _rounding_term(c, cutoff)
+        assert 0 <= scaled - sums[c] <= term, c
+        if len(c) > cutoff:
+            assert sums[c] == 0
+        else:
+            # the chosen scale keeps the rounding term below the guarded precision
+            assert term <= scaled / 10 ** (digits + numerics._GUARD_DIGITS), c
 
 
 def _reference_sum(c, cutoff, digits):
@@ -211,7 +247,10 @@ def test_shared_pass_matches_per_composition_loop(comps, cached, cutoff, digits)
         got = mzv_eval_many(comps + cached, cutoff, digits)
     assert len(got) == len(comps) + len(cached)
     for c, r in zip(comps + cached, got):
-        assert str(r.value) == str(_reference_sum(c, cutoff, digits)), c
+        if len(c) > cutoff:
+            assert str(r.value) == "0", c
+        else:
+            assert str(r.value) == str(_reference_sum(c, cutoff, digits)), c
         assert (r.truncation, r.tail_bound) == (cutoff, mzv_tail_bound(c, cutoff))
 
 

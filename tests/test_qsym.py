@@ -159,7 +159,7 @@ def test_complete_action_distributes_over_exponents():
 
 def test_sigma_t_basics():
     s = sigma_t("x", 5)
-    assert s == TruncatedSeries.constant(Poly.word("x"), 5)
+    assert s == TruncatedSeries({0: Poly.word("x")}, 5)
     s = sigma_t("y", 5)
     for k in range(6):
         assert s.coeff(k) == Poly.word("x" * k + "y")
@@ -186,13 +186,13 @@ def test_sigma_inverse_inverts():
                     if i + j <= 5:
                         out[i + j] = out.get(i + j, Poly.zero()) + q
             recovered = TruncatedSeries(out, 5)
-            assert recovered == TruncatedSeries.constant(Poly.word(w), 5)
+            assert recovered == TruncatedSeries({0: Poly.word(w)}, 5)
 
 
 def test_exp_partial_fixes_x_plus_y():
     z = Poly.word("x") + Poly.word("y")
     for order in range(0, 7):
-        assert exp_partial_t(z, order) == TruncatedSeries.constant(z, order)
+        assert exp_partial_t(z, order) == TruncatedSeries({0: z}, order)
 
 
 def test_exp_partial_on_x_is_geometric():
@@ -206,7 +206,7 @@ def test_phi_properties():
     for k in range(7):
         assert ph.coeff(k) == Poly.word("x" + "y" * k)
     z = Poly.word("x") + Poly.word("y")
-    assert phi_bar_sigma(z, 6) == TruncatedSeries.constant(z, 6)
+    assert phi_bar_sigma(z, 6) == TruncatedSeries({0: z}, 6)
     phy = phi_bar_sigma("y", 6)
     assert phy.coeff(0) == Poly.word("y")
     for k in range(1, 7):
@@ -224,7 +224,7 @@ def test_exp_partial_equals_phi():
 def _exp_reference(der_of_index, p, order):
     """exp(sum_n t^n d_n / n) p, term by term: the m-th term of the exponential
     is the operator applied to the (m-1)-th, divided by m."""
-    term = total = TruncatedSeries.constant(Poly.word(p), order)
+    term = total = TruncatedSeries({0: Poly.word(p)}, order)
     for m in range(1, order + 1):
         out = {}
         for k, q in term.items():

@@ -235,9 +235,6 @@ def test_poly_weight():
     assert Poly.word("xy").weight() == 2
     assert (Poly.word("xy") + Poly.word("x")).weight() is None
     assert Poly.zero().weight() is None
-    p = Poly.word("xxy") + Poly.word("y")
-    parts = p.graded_parts()
-    assert parts[3] == Poly.word("xxy") and parts[1] == Poly.word("y")
 
 
 def test_poly_term_order_graded_lex():
