@@ -52,7 +52,6 @@ from .derivations import (
     sum_of_words,
 )
 from .qsym import (
-    TensorPoly,
     TruncatedSeries,
     act,
     complete_h,

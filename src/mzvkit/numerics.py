@@ -11,10 +11,16 @@ once at the end, so a suffix of length m falls short of 2^B times its sum by
 some E >= 0.  Flooring 2^B / n^k and the product makes a step add less than
 E_i / n^k + A_i + 1 to E, with E_i and A_i <= H_N^(m-1) the shortfall and
 sum of the inner suffix (H_N the harmonic number), so by induction
-E <= m N (1 + H_N^(m-1)) <= d N L^d, with L = 1 + bit_length(N) > H_N and d
-the largest depth.  A sum of depth l <= N and weight w is at least its term
-(l, ..., 1) >= d^(-w), so 2^B > 10^(digits + guard digits) * d N L^d d^w
-keeps the relative error below 10^-(digits + guard digits).
+E <= m N (1 + H_N^(m-1)) <= R = m N L^m <= d N L^d, with
+L = 1 + bit_length(N) > H_N and d the largest depth.  A sum of depth
+l <= N and weight w is at least its term (l, ..., 1) >= d^(-w), so
+2^B > 10^(digits + guard digits) * d N L^d d^w keeps the relative error
+below 10^-(digits + guard digits).  The exact sum lies in [S, S + R] / 2^B
+for the computed S, so both ends are rounded to the requested digits
+(half-even).  When they differ, a half-way point lies between them, as it
+does for a sum that is an exact tie and otherwise with probability below
+10^-(digits + guard digits), and that composition is settled by an exact
+Fraction sum.  Every value is therefore correctly rounded.
 
 The truncation tail of the zeta sum is estimated by
 
@@ -40,11 +46,18 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from decimal import Context, Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
-from .relations import Relation
-from .words import Composition, DomainError, Poly, composition_of, is_admissible_composition
+from .words import (
+    Composition,
+    DomainError,
+    Poly,
+    composition_of,
+    is_admissible_composition,
+    is_h0_word,
+)
 
 DEFAULT_CUTOFF = 10**6
 DEFAULT_DIGITS = 30
@@ -118,7 +131,11 @@ def mzv_eval_many(comps, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT_DIG
         bits, sums = _suffix_pass(todo, cutoff, digits)
         ctx = Context(prec=digits)
         for c in todo:
-            value = ctx.divide(sums[c], 1 << bits)
+            s = sums[c]
+            value = ctx.divide(s, 1 << bits)
+            if value != ctx.divide(s + _rounding_term(len(c), cutoff), 1 << bits):
+                exact = _exact_sum(c, cutoff)  # a half-way point lies in the enclosure
+                value = ctx.divide(exact.numerator, exact.denominator)
             _mzv_cache[(c, cutoff, digits)] = EvalResult(value, cutoff, mzv_tail_bound(c, cutoff))
     return [_mzv_cache[(c, cutoff, digits)] for c in comps]
 
@@ -134,8 +151,7 @@ def _suffix_pass(comps, cutoff: int, digits: int) -> tuple:
     with no terms stays exactly 0.
     """
     d, w = max(map(len, comps)), max(map(sum, comps))
-    L = 1 + cutoff.bit_length()
-    bits = (10 ** (digits + _GUARD_DIGITS) * d * cutoff * L**d * d**w).bit_length()
+    bits = (10 ** (digits + _GUARD_DIGITS) * _rounding_term(d, cutoff) * d**w).bit_length()
     nodes = sorted({c[i:] for c in comps for i in range(len(c))}, key=len, reverse=True)
     row = {s: j for j, s in enumerate(nodes + [()])}
     exps = sorted({s[0] for s in nodes})
@@ -153,10 +169,24 @@ def _suffix_pass(comps, cutoff: int, digits: int) -> tuple:
     return bits, {c: acc[row[c]] for c in comps}
 
 
+def _rounding_term(m: int, cutoff: int) -> int:
+    """m N L^m with L = 1 + bit_length(N): bounds the shortfall of a suffix of length m."""
+    return m * cutoff * (1 + cutoff.bit_length()) ** m
+
+
+def _exact_sum(c: Composition, cutoff: int) -> Fraction:
+    """The partial sum of c as a Fraction, by the same recursion in exact arithmetic."""
+    acc = [Fraction(0)] * len(c) + [Fraction(1)]
+    for n in range(1, cutoff + 1):
+        for i in range(len(c)):  # outer levels first read the inner value from step n - 1
+            acc[i] += acc[i + 1] / n ** c[i]
+    return acc[0]
+
+
 def _support(p: Poly) -> list:
     """Compositions of p's words in items() order; every word must be admissible or empty."""
     for w in p.support():
-        if w and not (w[0] == "x" and w[-1] == "y"):
+        if not is_h0_word(w):
             raise DomainError(f"word is not admissible: {w!r}")
     return [composition_of(w) for w in p.support()]
 
@@ -260,6 +290,5 @@ def verify(
         r = _combine(rel.element, [value_of[c] for c in support], cutoff, digits)
         residual = abs(float(r.value))
         threshold = slack * r.tail_bound
-        label = rel.label() if isinstance(rel, Relation) else str(rel)
-        reports.append(VerifyReport(label, residual, threshold, residual <= threshold))
+        reports.append(VerifyReport(rel.label(), residual, threshold, residual <= threshold))
     return reports

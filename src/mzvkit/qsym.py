@@ -4,19 +4,26 @@ Words ending in y form a free algebra on the letters z_i = x^(i-1) y.  The
 deconcatenation coproduct on z-letters makes it a Hopf algebra isomorphic to
 the quasi-symmetric functions; under that identification z_n is the n-th
 power sum p_n, y^n is the elementary e_n, and the sum of all z-monomials of
-weight n is the complete h_n.
+weight n is the complete h_n.  `coproduct` returns the coproduct of an
+element as a plain {(u, v): coefficient} dict: w = u v fixes the pair, so no
+two terms collide and each pair keeps its word's coefficient.
 
 The action of that algebra on arbitrary words is generated by
 
     1 . w = w,   u . x = 0,   u . y = x^k y if u = z_k else 0,
     u . (w1 w2) = sum over the coproduct of (u' . w1)(u'' . w2),
 
-and acting by z_n reproduces the derivation D_n with y -> x^n y.  Truncated
-power series in a central variable t carry the induced automorphisms: the
-h-series action sigma_t, its inverse via the alternating e-series, and
-exp(sum_n t^n d_n / n) for the D_n (sigma_t again) and the antisymmetric
-partial_n (sigma_bar_t sigma_t^(-1), by Ihara-Kaneko-Zagier).  The d_n of
-each family commute, so that exponential is an integer recursion in t.
+and acting by z_n reproduces the derivation D_n with y -> x^n y.  `_act_word`
+is that recursion with w1 the first letter of w: u' . x = 0 unless u' = 1,
+and u' . y = 0 unless u' is 1 or one z-letter, so of the len(u) + 1 splits
+only u' = 1 and u' = z_k1, the first letter of u, survive, and the
+coproduct is never built.
+Truncated power series in a central variable t carry the induced
+automorphisms: the h-series action sigma_t, its inverse via the alternating
+e-series, and exp(sum_n t^n d_n / n) for the D_n (sigma_t again) and the
+antisymmetric partial_n (sigma_bar_t sigma_t^(-1), by Ihara-Kaneko-Zagier).
+The d_n of each family commute, so that exponential is an integer recursion
+in t.
 """
 
 from __future__ import annotations
@@ -34,70 +41,27 @@ from .words import (
     X,
     Y,
     _add_into,
-    _coeff,
     _raw,
     as_poly,
     composition_of,
     compositions,
-    is_h1_word,
     linear,
     word_of,
 )
 
 
-class TensorPoly:
-    """Finite rational combination of word-pair tensors u (x) v, coefficients as in Poly."""
+def coproduct(p) -> dict:
+    """Deconcatenation coproduct in z-letters as a {(u, v): coefficient} dict.
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=None):
-        clean: dict = {}
-        if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for pair, c in items:
-                c = _coeff(c)
-                if not c:
-                    continue
-                u, v = pair
-                if not (is_h1_word(u) and is_h1_word(v)):
-                    raise DomainError(f"tensor factor not in the y-ending subalgebra: {pair}")
-                s = clean.get(pair, 0) + c
-                if s:
-                    clean[pair] = _coeff(s)
-                else:
-                    del clean[pair]
-        self._terms = clean
-
-    def items(self):
-        return sorted(self._terms.items(), key=lambda t: ((len(t[0][0]), t[0][0]), (len(t[0][1]), t[0][1])))
-
-    def coeff(self, u: Word, v: Word) -> int | Fraction:
-        return self._terms.get((u, v), 0)
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorPoly):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __repr__(self):
-        body = " + ".join(f"{c} ({u or '1'} (x) {v or '1'})" for (u, v), c in self.items())
-        return f"TensorPoly({body or '0'})"
-
-
-def coproduct(p) -> TensorPoly:
-    """Deconcatenation coproduct in z-letters; input must lie in the y-ending subalgebra."""
-    terms: dict = {}
-    for w, c in as_poly(p).items():
-        zs = composition_of(w)  # raises DomainError outside the domain
-        for j in range(len(zs) + 1):
-            terms[(word_of(zs[:j]), word_of(zs[j:]))] = c  # w = u v fixes the pair
-    return TensorPoly(terms)
+    The input must lie in the y-ending subalgebra.  w = u v fixes the pair, so
+    each pair takes its word's coefficient as it is.
+    """
+    return {
+        (word_of(zs[:j]), word_of(zs[j:])): c
+        for w, c in as_poly(p).items()
+        for zs in [composition_of(w)]  # raises DomainError outside the domain
+        for j in range(len(zs) + 1)
+    }
 
 
 @lru_cache(maxsize=None)

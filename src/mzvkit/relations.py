@@ -36,6 +36,7 @@ from .words import (
     word_of,
 )
 
+
 @dataclass(frozen=True)
 class Relation:
     """A weight-homogeneous kernel element with its provenance."""
@@ -63,51 +64,40 @@ def normalize(p: Poly) -> Poly:
     return p.scale(scale)
 
 
-def _freeze(p: Poly) -> tuple:
-    return tuple((w, c) for w, c in p.items())
+def _collect(weight: int, family: str, pairs) -> list:
+    """Relations of one family from (element, params) pairs.
 
-
-def _make(element: Poly, weight: int, family: str, params: dict) -> Relation:
-    if element.weight() != weight:
-        raise DomainError(f"relation element is not homogeneous of weight {weight}")
-    for w in element.support():
-        if not is_admissible_word(w):
-            raise DomainError(f"relation support leaves the admissible basis: {w!r}")
-    return Relation(normalize(element), weight, family, tuple(sorted(params.items())))
-
-
-def _collect(candidates) -> list:
-    out = []
-    seen = set()
-    for element, weight, family, params in candidates:
+    Zero elements drop out; every other element must be homogeneous of the
+    weight and supported on admissible words.  Normalized elements are
+    deduplicated, keeping first occurrences in order.
+    """
+    out: dict = {}
+    for element, params in pairs:
         if not element:
             continue
-        rel = _make(element, weight, family, params)
-        key = _freeze(rel.element)
-        if key not in seen:
-            seen.add(key)
-            out.append(rel)
-    return out
+        if element.weight() != weight:
+            raise DomainError(f"relation element is not homogeneous of weight {weight}")
+        for w in element.support():
+            if not is_admissible_word(w):
+                raise DomainError(f"relation support leaves the admissible basis: {w!r}")
+        element = normalize(element)
+        if element not in out:
+            out[element] = Relation(element, weight, family, tuple(sorted(params.items())))
+    return list(out.values())
 
 
 def gen_duality(weight: int) -> list:
     """w minus its dual for each admissible word; self-dual words drop out."""
-    if weight < 2:
-        return []
-    return _collect(
-        (Poly.word(w) - Poly.word(w).tau(), weight, "duality", {"source": w})
-        for w in admissible_words(weight)
-    )
+    pairs = ((Poly.word(w) - Poly.word(w).tau(), {"source": w}) for w in admissible_words(weight))
+    return _collect(weight, "duality", pairs)
 
 
 def gen_derivation(weight: int) -> list:
     """Difference of the basic derivation and its conjugate on admissible words."""
     d = derivation_D()
     dbar = conjugate(d)
-    return _collect(
-        (d.apply(w) - dbar.apply(w), weight, "derivation", {"source": w})
-        for w in admissible_words(weight - 1)
-    )
+    pairs = ((d.apply(w) - dbar.apply(w), {"source": w}) for w in admissible_words(weight - 1))
+    return _collect(weight, "derivation", pairs)
 
 
 def gen_cyclic_sum(weight: int) -> list:
@@ -118,25 +108,15 @@ def gen_cyclic_sum(weight: int) -> list:
     """
     if weight < 2:
         return []
-    seen_classes = set()
-    candidates = []
-    for c in compositions(weight - 1):
-        if not c or set(c) == {1}:  # powers of y are excluded
-            continue
-        rep = cyclic_class(c).representative
-        if rep in seen_classes:
-            continue
-        seen_classes.add(rep)
-        w = word_of(rep)
-        candidates.append(
-            (
-                cyclic_C(w) - cyclic_C_bar(w),
-                weight,
-                "cyclic",
-                {"source": format_composition(rep)},
-            )
-        )
-    return _collect(candidates)
+    reps = dict.fromkeys(  # powers of y are excluded
+        cyclic_class(c).representative for c in compositions(weight - 1) if c and set(c) != {1}
+    )
+    pairs = (
+        (cyclic_C(w) - cyclic_C_bar(w), {"source": format_composition(rep)})
+        for rep in reps
+        for w in [word_of(rep)]
+    )
+    return _collect(weight, "cyclic", pairs)
 
 
 def _fixed_length_sum(weight: int, l: int) -> Poly:
@@ -145,72 +125,47 @@ def _fixed_length_sum(weight: int, l: int) -> Poly:
 
 def gen_sum_theorem(weight: int) -> list:
     """Adjacent-length differences of the fixed-weight admissible sums."""
-    return _collect(
-        (
-            _fixed_length_sum(weight, l) - _fixed_length_sum(weight, l + 1),
-            weight,
-            "sum",
-            {"l": l},
-        )
+    pairs = (
+        (_fixed_length_sum(weight, l) - _fixed_length_sum(weight, l + 1), {"l": l})
         for l in range(1, weight - 1)
     )
+    return _collect(weight, "sum", pairs)
 
 
 def gen_hoffman43(weight: int) -> list:
     """y sh w - y * w for admissible w; matches the derivation family up to sign."""
     y = Poly.word("y")
-    return _collect(
-        (
-            shuffle(y, Poly.word(w)) - harmonic(y, Poly.word(w)),
-            weight,
-            "hoffman43",
-            {"source": w},
-        )
-        for w in admissible_words(weight - 1)
-    )
+    pairs = ((shuffle(y, w) - harmonic(y, w), {"source": w}) for w in admissible_words(weight - 1))
+    return _collect(weight, "hoffman43", pairs)
 
 
 def gen_ihara_kaneko(n: int, weight: int) -> list:
     """Images of admissible words under the n-th antisymmetric derivation."""
-    if n < 1:
-        raise DomainError(f"index must be >= 1: {n}")
     dn = ihara_kaneko(n)
-    return _collect(
-        (dn.apply(w), weight, "ihara_kaneko", {"n": n, "source": w})
-        for w in admissible_words(weight - n)
-    )
+    pairs = ((dn.apply(w), {"n": n, "source": w}) for w in admissible_words(weight - n))
+    return _collect(weight, "ihara_kaneko", pairs)
 
 
 def gen_ohno(n: int, weight: int) -> list:
     """h_n acting on the dual minus h_n acting on the word, per admissible word."""
-    if n < 0:
-        raise DomainError(f"negative index: {n}")
     hn = complete_h(n)
-    candidates = []
-    for w in admissible_words(weight - n):
-        p = Poly.word(w)
-        candidates.append(
-            (act(hn, p.tau()) - act(hn, p), weight, "ohno", {"n": n, "source": w})
-        )
-    return _collect(candidates)
+    pairs = (
+        (act(hn, Poly.word(w).tau()) - act(hn, w), {"n": n, "source": w})
+        for w in admissible_words(weight - n)
+    )
+    return _collect(weight, "ohno", pairs)
 
 
 def gen_double_shuffle(weight: int) -> list:
     """Shuffle-minus-harmonic differences over unordered admissible pairs."""
-    candidates = []
-    for a in range(2, weight - 1):
-        for u in admissible_words(a):
-            for v in admissible_words(weight - a):
-                if (len(u), u) <= (len(v), v):
-                    candidates.append(
-                        (
-                            double_shuffle(Poly.word(u), Poly.word(v)),
-                            weight,
-                            "double_shuffle",
-                            {"u": u, "v": v},
-                        )
-                    )
-    return _collect(candidates)
+    pairs = (
+        (double_shuffle(u, v), {"u": u, "v": v})
+        for a in range(2, weight - 1)
+        for u in admissible_words(a)
+        for v in admissible_words(weight - a)
+        if (len(u), u) <= (len(v), v)
+    )
+    return _collect(weight, "double_shuffle", pairs)
 
 
 # Relation families by name, each a generator of the family at one weight.
@@ -249,7 +204,7 @@ def generate(weight: int, families=FAMILIES) -> list:
     seen = set()
     for family in _check_families(weight, families):
         for r in FAMILIES[family](weight):
-            key = (r.family, _freeze(r.element))
+            key = (r.family, r.element)
             if key not in seen:
                 seen.add(key)
                 out.append(r)

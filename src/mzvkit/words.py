@@ -11,7 +11,8 @@ integers -- give the exponent view of words ending in y through the bijection
 A Poly is immutable after construction.
 Word maps are extended to Polys by `linear` and `bilinear`, which sum into
 one internal mutable term dict (`_add_into`) and wrap it as a Poly only when
-the sum is complete; Poly's `+`, `-` and `*` use the same accumulator.
+the sum is complete; the Poly constructor and Poly's `+`, `-` and `*` use
+the same accumulator, the only code that sums coefficients.
 Term order is graded lexicographic with x < y, which fixes all printed and
 serialized output.
 """
@@ -94,8 +95,8 @@ def word_of(c: Composition) -> Word:
 
 
 def composition_of(w: Word) -> Composition:
-    """Inverse of word_of; defined only for words that are empty or end in y."""
-    if not is_h1_word(w):
+    """Inverse of word_of; defined only for words over {x,y} that are empty or end in y."""
+    if not is_h1_word(check_word(w)):
         raise DomainError(f"word does not end in y: {w!r}")
     if not w:
         return ()
@@ -202,17 +203,11 @@ class Poly:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping | Iterable | None = None):
-        clean: dict = {}
+        acc: dict = {}
         if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for w, c in items:
-                check_word(w)
-                c = clean.get(w, 0) + _coeff(c)
-                if c:
-                    clean[w] = _coeff(c)
-                else:
-                    clean.pop(w, None)
-        object.__setattr__(self, "_terms", clean)
+            for w, c in terms.items() if isinstance(terms, Mapping) else terms:
+                _add_into(acc, Poly.word(w, c))
+        object.__setattr__(self, "_terms", acc)
         object.__setattr__(self, "_hash", None)
 
     @classmethod

@@ -198,6 +198,9 @@ def test_eval(capsys):
     assert (code, out) == (0, "(2,1,1,1,1) = 0  (cutoff 3, tail <= 6.466e+00)\n")
     code, out = run_cli(capsys, "--format", "json", "eval", "(2,1,1)", "--cutoff", "2")
     assert json.loads(out)["value"] == "0"
+    # an exact tie, 559/5120 = 0.1091796875, rounds half-even
+    code, out = run_cli(capsys, "eval", "(2,1,1,1)", "--cutoff", "9", "--precision", "9")
+    assert (code, out) == (0, "(2,1,1,1) = 0.109179688  (cutoff 9, tail <= 3.631e+00)\n")
 
 
 def test_global_flags_after_subcommand(capsys):

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from mzvkit.derivations import ihara_kaneko
 from mzvkit.products import harmonic, shuffle
-from mzvkit.qsym import TensorPoly, exp_partial_t
+from mzvkit.qsym import coproduct, exp_partial_t
 from mzvkit.words import Poly, format_poly, linear, poly_to_obj
 
 # small values over denominators 1..4, so sums often cancel or become integral;
@@ -124,6 +124,6 @@ def test_integral_fraction_is_indistinguishable_from_int():
     assert json.dumps(poly_to_obj(as_fraction)) == json.dumps(poly_to_obj(as_int))
     assert [type(c) for _, c in as_fraction.items()] == [int, int]
     assert type(as_int.coeff("x")) is int and as_int.coeff("x") == 0
-    t = TensorPoly({("y", "y"): Fraction(4, 2), ("", "y"): HALF})
-    assert type(t.coeff("y", "y")) is int and t.coeff("y", "") == 0
-    assert t == TensorPoly({("y", "y"): 2, ("", "y"): HALF})
+    t = coproduct(Poly({"yy": Fraction(4, 2)}))
+    assert [type(c) for c in t.values()] == [int, int, int]
+    assert t == {("", "yy"): 2, ("y", "y"): 2, ("yy", ""): 2}

@@ -128,6 +128,9 @@ def test_cyclic_zform_agreement():
         for w in h1_words(n):
             assert cyclic_C_zform(w) == cyclic_C(w)
             assert cyclic_C_bar_zform(w) == cyclic_C_bar(w)
+    for zform in (cyclic_C_zform, cyclic_C_bar_zform):
+        with pytest.raises(DomainError):
+            zform("xzy")
 
 
 def test_cyclic_bar_examples():

@@ -1,12 +1,12 @@
 import math
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import mzvkit.numerics as numerics
 from mzvkit.derivations import conjugate, derivation_D
@@ -216,7 +216,13 @@ def test_fixed_point_error_is_one_sided_and_within_the_rounding_term(cutoff, dig
 
 
 def _reference_sum(c, cutoff, digits):
-    """Each composition with its own streaming loop, no suffix shared."""
+    """Each composition with its own streaming loop, no suffix shared, correctly rounded.
+
+    The loop runs with guard digits.  Each operation errs by at most a unit
+    in the last guard digit, relative, so the loop is off by less than
+    len(c) * cutoff * (max(c) + 2) such units; a sum within that of a
+    half-way point between two values at digits digits is settled exactly.
+    """
     with localcontext() as ctx:
         ctx.prec = digits + numerics._GUARD_DIGITS
         one = Decimal(1)
@@ -225,9 +231,13 @@ def _reference_sum(c, cutoff, digits):
             inv = one / n
             for i in range(len(c)):
                 acc[i] += inv ** c[i] * acc[i + 1]
-    with localcontext() as ctx:
-        ctx.prec = digits
-        return +acc[0]
+        err = acc[0] * len(c) * cutoff * (max(c, default=0) + 2) * Decimal(10) ** (1 - ctx.prec)
+        lo, hi = acc[0] - err, acc[0] + err
+    ctx = Context(prec=digits)
+    if ctx.plus(lo) == ctx.plus(hi):
+        return ctx.plus(acc[0])
+    exact = _exact_sums([c], cutoff)[c]
+    return ctx.divide(exact.numerator, exact.denominator)
 
 
 _UP_TO_8 = [()] + [c for w in range(2, 9) for c in admissible_compositions(w)]
@@ -239,6 +249,10 @@ _UP_TO_8 = [()] + [c for w in range(2, 9) for c in admissible_compositions(w)]
     st.integers(1, 300),
     st.integers(5, 40),
 )
+# exact half-way ties, which a floored sum would round down
+@example([], [(2, 1, 1, 1)], 9, 9)  # 559/5120 = 0.1091796875
+@example([(4, 1, 1, 2)], [], 5, 6)  # 0.001284375
+@example([(5, 1, 1, 1)], [], 5, 7)  # 0.00029609375
 def test_shared_pass_matches_per_composition_loop(comps, cached, cutoff, digits):
     # duplicates, the unit and compositions cached beforehand all go through one call
     with mock.patch.dict(numerics._mzv_cache, clear=True):

@@ -135,8 +135,9 @@ def test_word_composition_roundtrip():
     for n in range(8):
         for c in compositions(n):
             assert composition_of(word_of(c)) == c
-    with pytest.raises(DomainError):
-        composition_of("xyx")
+    for bad in ("xyx", "xzy"):
+        with pytest.raises(DomainError):
+            composition_of(bad)
     with pytest.raises(DomainError):
         word_of((0, 2))
 
@@ -225,6 +226,10 @@ def test_poly_arithmetic():
     for coeff in (1, 0):
         with pytest.raises(DomainError):
             Poly.word("xz", coeff)
+    assert Poly([("xy", 1), ("xy", -1)]) == Poly.zero()
+    assert type(Poly([("xy", Fraction(1, 2)), ("xy", Fraction(1, 2))]).coeff("xy")) is int
+    with pytest.raises(DomainError):
+        Poly({"xz": 0})
     assert (x + y) ** 2 == Poly({"xx": 1, "xy": 1, "yx": 1, "yy": 1})
     assert Poly.one() * x == x
     assert -(x - y) == y - x
