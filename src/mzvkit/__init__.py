@@ -79,7 +79,6 @@ from .relations import (
     gen_sum_theorem,
     generate,
     normalize,
-    poly_vector,
     rank_report,
 )
 from .numerics import (

@@ -14,6 +14,8 @@ import json
 import os
 import sys
 
+from dataclasses import asdict
+
 from . import numerics, qsym, relations
 from .derivations import (
     conjugate,
@@ -23,10 +25,10 @@ from .derivations import (
     derivation_Dn,
     ihara_kaneko,
 )
+from .products import harmonic, shuffle
 from .words import (
     DomainError,
     Poly,
-    composition_of,
     dual_composition,
     format_composition,
     format_poly,
@@ -43,7 +45,7 @@ def _poly_out(p: Poly, fmt: str) -> str:
 
 
 def _emit(lines, out_path):
-    text = "\n".join(lines) + "\n"
+    text = "".join(line + "\n" for line in lines)  # no lines: nothing, not an empty line
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -59,11 +61,12 @@ def _cmd_dual(args, fmt):
     return [format_composition(d)], 0
 
 
-def _cmd_product(args, fmt):
-    from .products import harmonic, shuffle
+# subcommand name -> product of two words
+_PRODUCTS = {"shuffle": shuffle, "harmonic": harmonic}
 
-    op = shuffle if args.command == "shuffle" else harmonic
-    p = op(Poly.word(parse_word(args.u)), Poly.word(parse_word(args.v)))
+
+def _cmd_product(args, fmt):
+    p = _PRODUCTS[args.command](Poly.word(parse_word(args.u)), Poly.word(parse_word(args.v)))
     return [_poly_out(p, fmt)], 0
 
 
@@ -83,6 +86,10 @@ def _cmd_derive(args, fmt):
     return [_poly_out(p, fmt)], 0
 
 
+# act --elem name -> quasi-symmetric element of degree --n; --elem word takes a word instead
+_ACT_ELEMS = {"pn": qsym.power_p, "en": qsym.elementary_e, "hn": qsym.complete_h}
+
+
 def _cmd_act(args, fmt):
     if args.elem == "word":
         if len(args.words) != 2:
@@ -91,23 +98,21 @@ def _cmd_act(args, fmt):
         target = args.words[1]
     else:
         if args.n is None:
-            raise DomainError("act --elem pn/en/hn requires --n")
+            raise DomainError(f"act --elem {'/'.join(_ACT_ELEMS)} requires --n")
         if len(args.words) != 1:
             raise DomainError("act needs one target word")
-        u = {"pn": qsym.power_p, "en": qsym.elementary_e, "hn": qsym.complete_h}[args.elem](args.n)
+        u = _ACT_ELEMS[args.elem](args.n)
         target = args.words[0]
     p = qsym.act(u, Poly.word(parse_word(target)))
     return [_poly_out(p, fmt)], 0
 
 
+# series --op name -> t-series map of (word, --order)
+_SERIES_OPS = {"sigma": qsym.sigma_t, "exp-partial": qsym.exp_partial_t, "phi": qsym.phi_bar_sigma}
+
+
 def _cmd_series(args, fmt):
-    w = Poly.word(parse_word(args.word))
-    fn = {
-        "sigma": qsym.sigma_t,
-        "exp-partial": qsym.exp_partial_t,
-        "phi": qsym.phi_bar_sigma,
-    }[args.op]
-    series = fn(w, args.order)
+    series = _SERIES_OPS[args.op](Poly.word(parse_word(args.word)), args.order)
     lines = []
     for k in range(args.order + 1):
         coeff = series.coeff(k)
@@ -143,7 +148,7 @@ def _cmd_relations(args, fmt):
 def _cmd_rank(args, fmt):
     report = relations.rank_report(args.weight, _families(args.families))
     if fmt == "json":
-        return [json.dumps(report.to_obj(), sort_keys=True)], 0
+        return [json.dumps(asdict(report), sort_keys=True)], 0
     lines = [f"weight {report.weight}: basis size {len(report.basis)}"]
     for fam, rk in report.family_ranks.items():
         lines.append(f"  {fam}: rank {rk} ({report.relation_counts[fam]} relations)")
@@ -169,7 +174,7 @@ def _cmd_verify(args, fmt):
     reports = numerics.verify(rels, cutoff=args.cutoff, slack=args.slack, digits=digits)
     code = 0 if all(rep.passed for rep in reports) else 1
     if fmt == "json":
-        return [json.dumps(rep.to_obj(), sort_keys=True) for rep in reports], code
+        return [json.dumps(asdict(rep), sort_keys=True) for rep in reports], code
     return [
         f"{'pass' if rep.passed else 'FAIL'} {rep.relation} "
         f"residual={rep.residual:.3e} threshold={rep.threshold:.3e}"
@@ -195,73 +200,57 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default=argparse.SUPPRESS)
     common.add_argument("--out", default=argparse.SUPPRESS)
+    at_weight = argparse.ArgumentParser(add_help=False)  # relations, rank, verify
+    at_weight.add_argument("--weight", type=int, required=True)
+    at_weight.add_argument("--families", default="all")
+    evaluated = argparse.ArgumentParser(add_help=False)  # verify, eval
+    evaluated.add_argument("--cutoff", type=int, default=numerics.DEFAULT_CUTOFF)
+    evaluated.add_argument("--precision", type=int, default=None)
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dual", parents=[common], help="dual of an admissible composition")
+    def command(name, run, summary, *parents):
+        p = sub.add_parser(name, parents=[common, *parents], help=summary)
+        p.set_defaults(run=run)
+        return p
+
+    p = command("dual", _cmd_dual, "dual of an admissible composition")
     p.add_argument("composition")
 
-    for name in ("shuffle", "harmonic"):
-        p = sub.add_parser(name, parents=[common], help=f"{name} product of two words")
+    for name in _PRODUCTS:
+        p = command(name, _cmd_product, f"{name} product of two words")
         p.add_argument("u")
         p.add_argument("v")
 
-    p = sub.add_parser("derive", parents=[common], help="apply a derivation or cyclic derivation")
+    p = command("derive", _cmd_derive, "apply a derivation or cyclic derivation")
     p.add_argument("--op", choices=tuple(_DERIVE_OPS), required=True)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("word")
 
-    p = sub.add_parser("act", parents=[common], help="act by a quasi-symmetric element on a word")
-    p.add_argument("--elem", choices=("pn", "en", "hn", "word"), required=True)
+    p = command("act", _cmd_act, "act by a quasi-symmetric element on a word")
+    p.add_argument("--elem", choices=(*_ACT_ELEMS, "word"), required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("words", nargs="+")
 
-    p = sub.add_parser("series", parents=[common], help="truncated t-series applied to a word")
-    p.add_argument("--op", choices=("sigma", "exp-partial", "phi"), required=True)
+    p = command("series", _cmd_series, "truncated t-series applied to a word")
+    p.add_argument("--op", choices=tuple(_SERIES_OPS), required=True)
     p.add_argument("--order", type=int, default=6)
     p.add_argument("word")
 
-    p = sub.add_parser("relations", parents=[common], help="generate relation families at a weight")
-    p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--families", default="all")
-
-    p = sub.add_parser("rank", parents=[common], help="exact ranks of relation spans at a weight")
-    p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--families", default="all")
-
-    p = sub.add_parser("verify", parents=[common], help="numerically verify relation families")
-    p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--families", default="all")
-    p.add_argument("--cutoff", type=int, default=numerics.DEFAULT_CUTOFF)
-    p.add_argument("--precision", type=int, default=None)
+    command("relations", _cmd_relations, "generate relation families at a weight", at_weight)
+    command("rank", _cmd_rank, "exact ranks of relation spans at a weight", at_weight)
+    p = command("verify", _cmd_verify, "numerically verify relation families", at_weight, evaluated)
     p.add_argument("--slack", type=float, default=numerics.DEFAULT_SLACK)
-
-    p = sub.add_parser("eval", parents=[common], help="evaluate one composition")
+    p = command("eval", _cmd_eval, "evaluate one composition", evaluated)
     p.add_argument("composition")
-    p.add_argument("--cutoff", type=int, default=numerics.DEFAULT_CUTOFF)
-    p.add_argument("--precision", type=int, default=None)
 
     return top
-
-
-_HANDLERS = {
-    "dual": _cmd_dual,
-    "shuffle": _cmd_product,
-    "harmonic": _cmd_product,
-    "derive": _cmd_derive,
-    "act": _cmd_act,
-    "series": _cmd_series,
-    "relations": _cmd_relations,
-    "rank": _cmd_rank,
-    "verify": _cmd_verify,
-    "eval": _cmd_eval,
-}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        lines, code = _HANDLERS[args.command](args, args.format)
+        lines, code = args.run(args, args.format)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

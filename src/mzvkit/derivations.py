@@ -54,8 +54,6 @@ class Derivation:
         """Leibniz extension over each word, linear over terms."""
         return linear(partial(_apply_word, self), p)
 
-    __call__ = apply
-
 
 @lru_cache(maxsize=None)
 def _apply_word(d: Derivation, w: Word) -> Poly:

@@ -22,16 +22,17 @@ does for a sum that is an exact tie and otherwise with probability below
 10^-(digits + guard digits), and that composition is settled by an exact
 Fraction sum.  Every value is therefore correctly rounded.
 
-The truncation tail of the zeta sum is estimated by
+The truncation tail of the zeta sum (the terms with n1 > N) is at most
 
-    tail(N) ~ (1 + ln N)^(l-1) * N^(1-k1) / (k1 - 1),
+    tail(N) = N^(1-k1) * sum_{j=0}^{l-1} (1 + ln N)^j / (j! (k1 - 1)^(l-j)),
 
-a comparison-with-integrals heuristic.  It overstates the tail of deep
-compositions by large factorial factors and can understate shallow ones by a
-few percent (log-integral corrections), so it is an error estimate rather
-than a certified enclosure; the refinement inequality |value(2N) - value(N)|
-<= tail(N) is validated empirically in the test suite, and relation
-verification multiplies it by a slack factor.
+the integral over t > N of (1 + ln t)^(l-1) / (l-1)! * t^(-k1): the inner
+sum over n1 > n2 > ... > nl is at most H_{n1-1}^(l-1) / (l-1)!, and on
+[n1 - 1, n1] both 1 + ln t >= H_{n1-1} and t^(-k1) >= n1^(-k1), so each
+term is at most the integral over that interval.  Depth one gives the usual
+N^(1-k1) / (k1 - 1).  The bound covers truncation only, not the rounding of
+the value to the requested digits; relation verification multiplies the
+tail sum by a slack factor.
 
 The two auxiliary series with the coupling factor 1/(n1 - n_last) do not
 split into prefix sums, so they are evaluated over (n1, n_last) pairs in
@@ -44,7 +45,7 @@ accumulation noise across the O(N^2) terms.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
@@ -83,9 +84,6 @@ class VerifyReport:
     threshold: float
     passed: bool
 
-    def to_obj(self) -> dict:
-        return asdict(self)
-
 
 _mzv_cache: dict = {}
 
@@ -105,8 +103,8 @@ def mzv_tail_bound(c: Composition, cutoff: int) -> float:
     l = len(c)
     if l == 0:
         return 0.0
-    k1 = c[0]
-    return (1.0 + math.log(cutoff)) ** (l - 1) * cutoff ** (1.0 - k1) / (k1 - 1.0)
+    a, log_n = c[0] - 1.0, 1.0 + math.log(cutoff)
+    return sum(cutoff**-a * log_n**j / (math.factorial(j) * a ** (l - j)) for j in range(l))
 
 
 def mzv_eval(c: Composition, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT_DIGITS) -> EvalResult:

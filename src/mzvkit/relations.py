@@ -12,7 +12,7 @@ primitive integer vector in echelon form, so no rational arithmetic is needed.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -200,38 +200,38 @@ def _check_families(weight: int, families) -> tuple:
 
 def generate(weight: int, families=FAMILIES) -> list:
     """All relations of the requested families at one weight, deduplicated globally."""
-    out = []
-    seen = set()
+    out: dict = {}
     for family in _check_families(weight, families):
         for r in FAMILIES[family](weight):
-            key = (r.family, r.element)
-            if key not in seen:
-                seen.add(key)
-                out.append(r)
-    return out
+            out.setdefault((r.family, r.element), r)
+    return list(out.values())
 
 
 class RowSpace:
-    """Row space over the rationals in integer echelon form, by fraction-free elimination.
+    """Span over the rationals of Polys on a basis of words, by fraction-free elimination.
 
-    Rows are primitive integer vectors with a positive pivot (first nonzero)
-    entry, keyed by pivot column.  Against the row with pivot p a vector v
-    becomes (row[p]*v - v[p]*row) / gcd(v[p], row[p]), with its content divided out.
+    A Poly enters as its integer coordinate vector, denominators cleared.  Rows
+    are primitive integer vectors with a positive pivot (first nonzero) entry,
+    keyed by pivot column.  Against the row with pivot p a vector v becomes
+    (row[p]*v - v[p]*row) / gcd(v[p], row[p]), with its content divided out.
     """
 
-    def __init__(self, ncols: int):
-        self.ncols = ncols
+    def __init__(self, basis):
+        self.column = {w: j for j, w in enumerate(basis)}
         self.rows: dict = {}  # pivot column -> primitive integer row
 
-    def _reduce(self, vec) -> tuple:
-        """(p, v): vec with denominators cleared, reduced until its first nonzero column p
+    def _reduce(self, poly: Poly) -> tuple:
+        """(p, v): the integer vector of poly, reduced until its first nonzero column p
         has no pivot; p is None when v reduces to zero."""
-        if any(type(c) is not int for c in vec):  # Fraction entries: clear denominators
-            den = lcm(*(c.denominator for c in vec))
-            v = [c.numerator * (den // c.denominator) for c in vec]
-        else:
-            v = list(vec)  # reduced in place below; the caller's vector is kept
-        for p in range(self.ncols):
+        v = [0] * len(self.column)
+        for w, c in poly.items():
+            if w not in self.column:
+                raise DomainError(f"word outside the basis: {w!r}")
+            v[self.column[w]] = c
+        if any(type(c) is not int for c in v):  # Fraction entries: clear denominators
+            den = lcm(*(c.denominator for c in v))
+            v = [c.numerator * (den // c.denominator) for c in v]
+        for p in range(len(v)):
             if not v[p]:
                 continue
             row = self.rows.get(p)
@@ -245,30 +245,20 @@ class RowSpace:
                 v[p:] = [x // g for x in v[p:]]
         return None, v
 
-    def add(self, vec) -> bool:
-        """Insert a vector; True if it enlarged the span."""
-        p, v = self._reduce(vec)
+    def add(self, poly: Poly) -> bool:
+        """Insert a Poly; True if it enlarged the span."""
+        p, v = self._reduce(poly)
         if p is not None:
             g = gcd(*v) if v[p] > 0 else -gcd(*v)
             self.rows[p] = [x // g for x in v]
         return p is not None
 
-    def contains(self, vec) -> bool:
-        return self._reduce(vec)[0] is None
+    def contains(self, poly: Poly) -> bool:
+        return self._reduce(poly)[0] is None
 
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-
-def poly_vector(p: Poly, index: dict) -> list:
-    """Coordinates of p in a basis given as a word -> position dict."""
-    vec = [0] * len(index)
-    for w, c in p.items():
-        if w not in index:
-            raise DomainError(f"word outside the basis: {w!r}")
-        vec[index[w]] = c
-    return vec
 
 
 @dataclass
@@ -282,25 +272,20 @@ class RankReport:
     nullity: int
     relation_counts: dict = field(default_factory=dict)
 
-    def to_obj(self) -> dict:
-        return asdict(self)
-
 
 def rank_report(weight: int, families=FAMILIES) -> RankReport:
     families = _check_families(weight, families)
     basis = admissible_words(weight)
-    index = {w: i for i, w in enumerate(basis)}
-    union = RowSpace(len(basis))
+    union = RowSpace(basis)
     family_ranks: dict = {}
     counts: dict = {}
     for family in families:
         rels = generate(weight, [family])
         counts[family] = len(rels)
-        solo = RowSpace(len(basis))
+        solo = RowSpace(basis)
         for r in rels:
-            vec = poly_vector(r.element, index)  # integers: relations are normalized
-            solo.add(vec)
-            union.add(vec)
+            if solo.add(r.element):  # else r is in solo's span, which lies in union's
+                union.add(r.element)
         family_ranks[family] = solo.rank
     return RankReport(
         weight=weight,

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from mzvkit import relations
-from mzvkit.cli import main
+from mzvkit.cli import _ACT_ELEMS, _DERIVE_OPS, _PRODUCTS, _SERIES_OPS, main
 from mzvkit.words import Poly, poly_from_obj
 
 
@@ -82,6 +82,14 @@ def test_relations_json(capsys):
     elements = [poly_from_obj(obj["element"]) for obj in lines]
     assert Poly({"xxxy": 1, "xxyy": -1, "xyxy": -1}) in elements
     assert all(obj["family"] == "cyclic" and obj["weight"] == 4 for obj in lines)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_no_output_lines_print_nothing(capsys, fmt):
+    # double shuffle needs two admissible factors, so weight 3 has no relation
+    code = main(["--format", fmt, "relations", "--weight", "3", "--families", "double_shuffle"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, "", "")
 
 
 def test_relations_bad_family(capsys):
@@ -195,12 +203,30 @@ def test_eval(capsys):
     assert obj["cutoff"] == 10000
     # depth above the cutoff: a sum with no terms is exactly 0
     code, out = run_cli(capsys, "eval", "(2,1,1,1,1)", "--cutoff", "3")
-    assert (code, out) == (0, "(2,1,1,1,1) = 0  (cutoff 3, tail <= 6.466e+00)\n")
+    assert (code, out) == (0, "(2,1,1,1,1) = 0  (cutoff 3, tail <= 2.550e+00)\n")
     code, out = run_cli(capsys, "--format", "json", "eval", "(2,1,1)", "--cutoff", "2")
     assert json.loads(out)["value"] == "0"
     # an exact tie, 559/5120 = 0.1091796875, rounds half-even
     code, out = run_cli(capsys, "eval", "(2,1,1,1)", "--cutoff", "9", "--precision", "9")
-    assert (code, out) == (0, "(2,1,1,1) = 0.109179688  (cutoff 9, tail <= 3.631e+00)\n")
+    assert (code, out) == (0, "(2,1,1,1) = 0.109179688  (cutoff 9, tail <= 1.639e+00)\n")
+
+
+# one command per key of each CLI dispatch table, so that every entry is reached
+TABLE_COMMANDS = (
+    [["series", "--op", op, "--order", "2", "xy"] for op in _SERIES_OPS]
+    + [["act", "--elem", elem, "--n", "2", "xy"] for elem in _ACT_ELEMS]
+    + [["act", "--elem", "word", "y", "xy"]]
+    + [[name, "xy", "y"] for name in _PRODUCTS]
+    + [["derive", "--op", op, "--n", "2", "xxy"] for op in _DERIVE_OPS]
+)
+
+
+@pytest.mark.parametrize("argv", TABLE_COMMANDS, ids=" ".join)
+def test_every_table_entry_runs(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.strip() and captured.err == ""
 
 
 def test_global_flags_after_subcommand(capsys):

@@ -1,4 +1,4 @@
-import math
+from dataclasses import asdict
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from unittest import mock
@@ -11,7 +11,6 @@ from hypothesis import example, given, strategies as st
 import mzvkit.numerics as numerics
 from mzvkit.derivations import conjugate, derivation_D
 from mzvkit.numerics import (
-    EvalResult,
     mzv_eval,
     mzv_eval_many,
     mzv_tail_bound,
@@ -21,7 +20,7 @@ from mzvkit.numerics import (
     zeta_of_poly,
 )
 from mzvkit.products import harmonic, shuffle
-from mzvkit.relations import Relation, generate, normalize
+from mzvkit.relations import Relation, generate
 from mzvkit.words import (
     DomainError,
     Poly,
@@ -81,6 +80,19 @@ def test_monotone_refinement():
         v1 = mzv_eval(c, n)
         v2 = mzv_eval(c, 2 * n)
         assert abs(float(v2.value - v1.value)) <= v1.tail_bound, c
+
+
+@pytest.mark.parametrize("cutoff", [10, 10**2, 10**3, 10**4])
+def test_tail_bound_dominates_the_true_tail(cutoff):
+    exact = {
+        (2, 1): mpmath.zeta(3),
+        (3, 1): mpmath.pi**4 / 360,
+        (2, 1, 1): mpmath.zeta(4),
+        (2, 2): mpmath.pi**4 / 120,
+    }
+    for c, value in exact.items():
+        r = mzv_eval(c, cutoff)
+        assert value - mp(r.value) <= r.tail_bound, c
 
 
 def test_tail_bound_shape():
@@ -423,6 +435,6 @@ def test_negative_control_derivation_needs_admissible_input():
 def test_verify_report_shape():
     rels = generate(3, ["duality"])
     (rep,) = verify(rels, cutoff=1000)
-    obj = rep.to_obj()
+    obj = asdict(rep)
     assert set(obj) == {"relation", "residual", "threshold", "passed"}
     assert rep.threshold >= 0

@@ -19,7 +19,6 @@ from mzvkit.relations import (
     gen_sum_theorem,
     generate,
     normalize,
-    poly_vector,
     rank_report,
 )
 from mzvkit.words import (
@@ -149,12 +148,11 @@ def test_sum_theorem_family():
 
 def test_sum_theorem_in_cyclic_span():
     for weight in range(3, 9):
-        index = {w: i for i, w in enumerate(admissible_words(weight))}
-        space = RowSpace(len(index))
+        space = RowSpace(admissible_words(weight))
         for r in gen_cyclic_sum(weight):
-            space.add(poly_vector(r.element, index))
+            space.add(r.element)
         for r in gen_sum_theorem(weight):
-            assert space.contains(poly_vector(r.element, index))
+            assert space.contains(r.element)
 
 
 def test_ohno_family():
@@ -169,12 +167,11 @@ def test_ohno_family():
 
 def test_ohno1_span_within_derivation_and_duality():
     for weight in range(3, 9):
-        index = {w: i for i, w in enumerate(admissible_words(weight))}
-        space = RowSpace(len(index))
+        space = RowSpace(admissible_words(weight))
         for r in gen_derivation(weight) + gen_duality(weight):
-            space.add(poly_vector(r.element, index))
+            space.add(r.element)
         for r in gen_ohno(1, weight):
-            assert space.contains(poly_vector(r.element, index))
+            assert space.contains(r.element)
 
 
 def test_double_shuffle_family():
@@ -202,14 +199,28 @@ def test_normalize():
 
 
 def test_rowspace():
-    s = RowSpace(3)
-    one = Fraction(1)
-    assert s.add([one, one, one * 0])
-    assert not s.add([2 * one, 2 * one, one * 0])
-    assert s.add([one * 0, one, one])
+    s = RowSpace(["xy", "xxy", "xyy"])
+    half = Fraction(1, 2)
+    assert s.add(Poly({"xy": 1, "xxy": 1}))
+    assert not s.add(Poly({"xy": half, "xxy": half}))
+    assert s.add(Poly({"xxy": 1, "xyy": 1}))
     assert s.rank == 2
-    assert s.contains([one, 2 * one, one])
-    assert not s.contains([one * 0, one * 0, one])
+    assert s.contains(Poly({"xy": 1, "xxy": 2, "xyy": 1}))
+    assert not s.contains(Poly.word("xyy"))
+
+
+def test_rowspace_contains_zero():
+    assert RowSpace(["xy"]).contains(Poly.zero())
+    assert RowSpace([]).contains(Poly.zero())
+
+
+def test_rowspace_rejects_words_outside_basis():
+    s = RowSpace(["xy", "xxy"])
+    with pytest.raises(DomainError):
+        s.add(Poly({"xy": 1, "xyy": 1}))
+    with pytest.raises(DomainError):
+        s.contains(Poly.word("y"))
+    assert s.rank == 0
 
 
 def _reference_span(rows, probe):
@@ -231,6 +242,10 @@ def _reference_span(rows, probe):
     return added, len(basis), not any(reduce(list(probe)))
 
 
+# the 8 admissible words of weight 5, in order: the columns of the generated rows
+BASIS8 = admissible_words(5)
+
+
 @st.composite
 def fraction_rows(draw):
     """Up to 8 rows of up to 8 columns, with repeats and combinations of earlier rows."""
@@ -249,12 +264,17 @@ def fraction_rows(draw):
     return ncols, rows[:-1], rows[-1]
 
 
+def _poly(row) -> Poly:
+    """The Poly with coordinates row over the first len(row) words of BASIS8."""
+    return Poly(dict(zip(BASIS8, row)))
+
+
 @given(fraction_rows())
 def test_rowspace_matches_fraction_reference(case):
     ncols, rows, probe = case
-    space = RowSpace(ncols)
-    added = [space.add(r) for r in rows]
-    assert (added, space.rank, space.contains(probe)) == _reference_span(rows, probe)
+    space = RowSpace(BASIS8[:ncols])
+    added = [space.add(_poly(r)) for r in rows]
+    assert (added, space.rank, space.contains(_poly(probe))) == _reference_span(rows, probe)
     for p, row in space.rows.items():  # echelon form of primitive rows, pivot positive
         assert not any(row[:p]) and row[p] > 0 and gcd(*row) == 1
 

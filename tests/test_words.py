@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 from fractions import Fraction
 from hypothesis import example, given, strategies as st
