@@ -34,12 +34,20 @@ N^(1-k1) / (k1 - 1).  The bound covers truncation only, not the rounding of
 the value to the requested digits; relation verification multiplies the
 tail sum by a slack factor.
 
-The two auxiliary series with the coupling factor 1/(n1 - n_last) do not
-split into prefix sums, so they are evaluated over (n1, n_last) pairs in
-float64 with vectorized inner products, at an independently capped cutoff;
-their tails are estimated from half-cutoff refinement (the value at N // 2 is
-taken on the way to N) plus a small absolute floor covering float64
-accumulation noise across the O(N^2) terms.
+The two auxiliary series with the coupling factor 1/(n1 - j), j the
+innermost index, do not split into prefix sums, so they are summed in
+float64 over the (j, n1) pairs, at an independently capped cutoff, by divide
+and conquer over the index range [0, N].  For j < mid <= n1 the chain
+n1 > n2 > ... > nl > j has its first i inner indices in [mid, n1) and the
+rest in (j, mid) for exactly one i (Chen's split of an iterated sum at a
+point), so its inner sum is sum_i U_i(n1) D_i(j) with U_i and D_i sums
+inside one half each, and the cross terms are one convolution with
+1 / (n1 - j) per i.  The halves recurse down to small blocks summed densely.
+Every summand is nonnegative, so nothing cancels.  The first split is at
+N // 2 + 1, so the sum at N // 2 is the sum of the left half, bit for bit
+what a run at N // 2 returns; the tail is estimated from that half-cutoff
+refinement plus a small absolute floor covering float64 accumulation noise
+across the O(N^2) terms.
 """
 
 from __future__ import annotations
@@ -66,6 +74,7 @@ DEFAULT_SLACK = 10.0
 DEFAULT_ST_CUTOFF = 10**4
 _GUARD_DIGITS = 10
 _FLOAT_NOISE = 1e-13  # rounding floor for the O(N^2) float64 summations
+_LEAF = 64  # index blocks of at most this size are summed densely in the T/S series
 
 
 @dataclass(frozen=True)
@@ -88,12 +97,16 @@ class VerifyReport:
 _mzv_cache: dict = {}
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def check_args(cutoff: int, digits: int = DEFAULT_DIGITS, slack: float = DEFAULT_SLACK) -> None:
-    """Reject a cutoff or precision below 1 and a negative or non-finite slack."""
-    if cutoff < 1:
-        raise DomainError(f"cutoff must be >= 1: {cutoff}")
-    if digits < 1:
-        raise DomainError(f"precision must be >= 1 digit: {digits}")
+    """Reject a cutoff or precision that is not an integer >= 1 and a negative or non-finite slack."""
+    if not _is_int(cutoff) or cutoff < 1:
+        raise DomainError(f"cutoff must be an integer >= 1: {cutoff!r}")
+    if not _is_int(digits) or digits < 1:
+        raise DomainError(f"precision must be an integer >= 1 digit: {digits!r}")
     if not (math.isfinite(slack) and slack >= 0):
         raise DomainError(f"slack must be finite and >= 0: {slack}")
 
@@ -121,6 +134,8 @@ def mzv_eval_many(comps, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT_DIG
     """
     comps = [tuple(c) for c in comps]
     for c in comps:
+        if not all(map(_is_int, c)):
+            raise DomainError(f"composition parts must be integers: {c}")
         if c and not is_admissible_composition(c):
             raise DomainError(f"composition is not admissible (series diverges): {c}")
     check_args(cutoff, digits)
@@ -211,10 +226,10 @@ def _combine(p: Poly, results, cutoff: int, digits: int) -> EvalResult:
 
 def _check_series_args(c: Composition, k_last: int, cutoff: int) -> None:
     """T(c) is checked as S(c, 0): both diverge unless some exponent exceeds 1."""
-    if not c or any(k < 1 for k in c):
+    if not c or not all(_is_int(k) and k >= 1 for k in c):
         raise DomainError(f"series arguments must be positive integers: {c}")
-    if k_last < 0:
-        raise DomainError(f"last exponent must be >= 0: {k_last}")
+    if not _is_int(k_last) or k_last < 0:
+        raise DomainError(f"last exponent must be an integer >= 0: {k_last!r}")
     if max(c) < 2 and k_last < 1:
         raise DomainError(f"series diverges: {c} with last exponent {k_last}")
     check_args(cutoff)
@@ -229,27 +244,78 @@ def _inv_powers(N: int, k: int) -> np.ndarray:
 def _chain_sum(c: Composition, w: np.ndarray, N: int) -> EvalResult:
     """Partial sum over N >= n1 > ... > nl > j >= 0 of w[j] / (n1^k1 ... nl^kl (n1 - j)).
 
-    The tail estimate is the change from the sum at N // 2 (taken on the way to
-    N; 0.0 when N // 2 is 0), doubled for safety, plus the float64 noise floor:
-    an empirical figure, not a certified bound.
+    Divide and conquer over the index range [0, N] (see _block): the terms
+    with j and n1 on one side of a split point mid recurse into that half,
+    and for j < mid <= n1 the inner sum Q(j, n1) over n1 > n2 > ... > nl > j
+    splits as sum_{i<l} U_i(n1) D_i(j), each factor a sum inside one half
+    (Chen's split of an iterated sum at a point; see _cross).  Every summand is
+    nonnegative (w >= 0), so nothing cancels.  The first split is at
+    N // 2 + 1, so the sum at N // 2 is the sum of the left half, bit for bit
+    what a run at N // 2 returns.  The tail estimate is the change from that
+    half sum (0.0 when N // 2 is 0), doubled for safety, plus the float64
+    noise floor: an empirical figure, not a certified bound.
     """
-    l = len(c)
-    inv = _inv_powers(N, 1)
     pows = [_inv_powers(N, k) for k in c]
-    # levels[i][j] = sum of w[j] times the index chain n_{i+2} > ... > n_l > j
-    # with all entries strictly below the current outer n; the last level is w
-    # itself.  Updating i in increasing order keeps each update reading the
-    # pre-update (strictly smaller) level.
-    levels = [np.zeros(N) for _ in range(l - 1)] + [w]
-    total = half = 0.0
-    for n in range(1, N + 1):
-        total += pows[0][n] * float(np.dot(levels[0][:n], inv[n:0:-1]))
-        if n == N // 2:
-            half = total
-        for i in range(l - 1):
-            levels[i][:n] += pows[i + 1][n] * levels[i + 1][:n]
-    v, v_half = float(total), float(half)
-    return EvalResult(Decimal(repr(v)), N, 2.0 * abs(v - v_half) + _FLOAT_NOISE)
+    w = np.append(w, 0.0)  # index N is never the innermost one
+    half = _block(pows, w, 0, N // 2 + 1)
+    total = _block(pows, w, 0, N + 1, half)
+    return EvalResult(Decimal(repr(total)), N, 2.0 * abs(total - half) + _FLOAT_NOISE)
+
+
+def _block(pows: list, w: np.ndarray, lo: int, hi: int, left: float | None = None) -> float:
+    """The terms of _chain_sum with every index in [lo, hi); left, if known, is the left half's.
+
+    A block of at most _LEAF indices is summed densely.  A larger one splits
+    at mid = (lo + hi + 1) // 2 into the terms inside each half and the cross
+    terms with j < mid <= n1 (see _cross).
+    """
+    if hi - lo <= _LEAF:
+        return _leaf(pows, w, lo, hi)
+    mid = (lo + hi + 1) // 2
+    if left is None:
+        left = _block(pows, w, lo, mid)
+    return left + _block(pows, w, mid, hi) + _cross(pows, w, lo, mid, hi)
+
+
+def _leaf(pows: list, w: np.ndarray, lo: int, hi: int) -> float:
+    """_block of a small block as a dense (n1, j) array of chain sums."""
+    s = slice(lo, hi)
+    step = np.arange(hi - lo)
+    gap = step[:, None] - step  # n1 - j
+    q = (gap > 0) * w[s]  # q[n, j] = w[j] for n > j
+    for a in reversed(pows[1:]):  # innermost index first, each new one above the last
+        q = _sum_below(a[s, None] * q)
+    # now q[n1, j] = w[j] Q(j, n1)
+    return float(pows[0][s] @ (q / np.maximum(gap, 1)).sum(axis=1))
+
+
+def _cross(pows: list, w: np.ndarray, lo: int, mid: int, hi: int) -> float:
+    """The terms of _block with lo <= j < mid <= n1 < hi.
+
+    A chain n1 > n2 > ... > nl > j has its first i inner indices in
+    [mid, n1) and the rest in (j, mid) for exactly one i < l, so
+    Q(j, n1) = sum_i U_i(n1) D_i(j), and the sum over j of
+    w[j] D_i(j) / (n1 - j) is one convolution with 1 / (n1 - j) per i.
+    """
+    below, above = slice(lo, mid), slice(mid, hi)
+    inv_gap = 1.0 / np.arange(1, hi - lo)
+    total = 0.0
+    for i in range(len(pows)):
+        up = np.ones(hi - mid)  # U_i: n1 > n2 > ... > n_{i+1} >= mid
+        for a in reversed(pows[1 : i + 1]):
+            up = _sum_below(a[above] * up)
+        down = np.ones(mid - lo)  # D_i: mid > n_{i+2} > ... > nl > j
+        for a in pows[i + 1 :]:
+            down = _sum_below((a[below] * down)[::-1])[::-1]
+        total += float(pows[0][above] @ (up * np.convolve(w[below] * down, inv_gap, "valid")))
+    return total
+
+
+def _sum_below(x: np.ndarray) -> np.ndarray:
+    """out[n] = the sum of x[m] over m < n, along the first axis."""
+    out = np.zeros_like(x)
+    np.cumsum(x[:-1], axis=0, out=out[1:])
+    return out
 
 
 def t_series_eval(c: Composition, cutoff: int = DEFAULT_ST_CUTOFF) -> EvalResult:

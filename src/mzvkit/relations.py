@@ -28,6 +28,7 @@ from .qsym import act, complete_h
 from .words import (
     DomainError,
     Poly,
+    _raw,
     admissible_words,
     compositions,
     cyclic_class,
@@ -56,12 +57,13 @@ def normalize(p: Poly) -> Poly:
     if not p:
         return p
     items = p.items()
-    den = lcm(*(c.denominator for _, c in items))
-    num = gcd(*(abs(c.numerator) for _, c in items))
-    scale = Fraction(den, num)
-    if items[0][1] < 0:
-        scale = -scale
-    return p.scale(scale)
+    coeffs = [c for _, c in items]
+    sign = 1 if coeffs[0] > 0 else -1
+    if all(type(c) is int for c in coeffs):
+        content = sign * gcd(*coeffs)
+        return p if content == 1 else _raw({w: c // content for w, c in items})
+    den = lcm(*(c.denominator for c in coeffs))
+    return p.scale(sign * Fraction(den, gcd(*(c.numerator for c in coeffs))))
 
 
 def _collect(weight: int, family: str, pairs) -> list:

@@ -46,6 +46,10 @@ def test_mzv_eval_unit_and_errors():
         mzv_eval((1, 2), N_SMALL)
     with pytest.raises(DomainError):
         mzv_eval((2, 0), N_SMALL)
+    # parts, cutoffs and precisions must be integers; a bool is not one
+    for args in (((2.5,), 100), ((2,), 10.5), ((2,), 100, 5.0), ((2,), True), ((True, 1), 100)):
+        with pytest.raises(DomainError):
+            mzv_eval(*args)
 
 
 def test_zeta2_matches_classical_constant():
@@ -334,6 +338,15 @@ def test_t_series_preconditions():
         t_series_eval((2,), 0)
     with pytest.raises(DomainError):
         s_series_eval((2,), 1, 0)
+    # a part, last exponent or cutoff that is not an integer is an error, not a value
+    for series, args in (
+        (t_series_eval, ((2,), 10.5)),
+        (t_series_eval, ((2.5,), 100)),
+        (s_series_eval, ((2,), 0.5, 100)),
+        (s_series_eval, ((2,), True, 100)),
+    ):
+        with pytest.raises(DomainError):
+            series(*args)
 
 
 def test_matched_cutoff_tail_identity():
@@ -380,7 +393,7 @@ def test_rotation_difference_identity():
     assert abs(lhs - rhs) <= tol
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 50, 51])
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 51, 257, 1001])
 def test_one_pass_refinement_matches_separate_runs(n):
     # the value at n // 2 taken on the way to n is what a run at n // 2 gives
     runs = [(t_series_eval, c, (), np.ones) for c in ((2,), (2, 1), (1, 2))]
@@ -396,6 +409,45 @@ def test_one_pass_refinement_matches_separate_runs(n):
             assert v_half == 0.0  # the half run is empty
         assert r.value == Decimal(repr(v)), (c, args)
         assert r.tail_bound == 2.0 * abs(v - v_half) + numerics._FLOAT_NOISE, (c, args)
+
+
+def _exact_chain_sums(c, w, cutoff):
+    """Sums at every cutoff 0..cutoff by the per-n recursion, in Fractions.
+
+    levels[i][j] sums w[j] over the chains n_{i+2} > ... > n_l > j below the
+    current n1; the last level is w itself, and each level is updated before
+    the one it reads from.
+    """
+    levels = [[Fraction(0)] * cutoff for _ in c[1:]] + [w]
+    sums = [Fraction(0)]
+    for n in range(1, cutoff + 1):
+        sums.append(sums[-1] + sum(levels[0][j] / (n - j) for j in range(n)) / n ** c[0])
+        for i in range(len(c) - 1):
+            step = Fraction(1, n ** c[i + 1])
+            levels[i][:n] = [a + step * b for a, b in zip(levels[i][:n], levels[i + 1][:n])]
+    return sums
+
+
+@pytest.mark.parametrize(
+    "c, k_last",
+    [((2,), None), ((1, 2), None), ((3, 1, 1), None), ((2, 1, 1, 1), None)]
+    + [((2,), 2), ((1, 2), 1), ((3, 1, 1), 0), ((2, 1, 1, 1), 1)]
+    # distinct inner exponents, which fix the order of the chain
+    + [((2, 1, 3), None), ((1, 3, 1, 2), 2)],
+)
+def test_chain_sum_matches_exact_recursion_across_blocks(c, k_last):
+    # cutoffs around one and two dense blocks reach the cross-block terms
+    leaf = numerics._LEAF
+    cutoffs = (leaf - 1, leaf, leaf + 1, 2 * leaf + 1, 97)
+    top = max(cutoffs)
+    if k_last is None:  # T: innermost index j >= 0 with weight 1
+        w = [Fraction(1)] * top
+    else:  # S: j >= 1 with weight j^(-k_last)
+        w = [Fraction(0)] + [Fraction(1, j**k_last) for j in range(1, top)]
+    exact = _exact_chain_sums(c, w, top)
+    for n in cutoffs:
+        r = t_series_eval(c, n) if k_last is None else s_series_eval(c, k_last, n)
+        assert abs(Fraction(r.value) - exact[n]) <= 1e-13 * exact[n], (c, k_last, n)
 
 
 def test_series_refinement_tail_estimates():
