@@ -8,17 +8,13 @@ verification.
 
 from .words import (
     Composition,
-    CyclicClass,
     DomainError,
     Poly,
     Word,
-    admissible_compositions,
     admissible_words,
     all_words,
-    colength,
     composition_of,
     compositions,
-    cyclic_class,
     dual_composition,
     format_composition,
     format_poly,
@@ -26,7 +22,6 @@ from .words import (
     is_admissible_word,
     is_h0_word,
     is_h1_word,
-    length,
     parse_composition,
     parse_poly,
     parse_word,
@@ -34,7 +29,6 @@ from .words import (
     poly_to_obj,
     tau,
     tau_word,
-    weight,
     word_of,
 )
 from .products import double_shuffle, harmonic, shuffle
@@ -43,9 +37,7 @@ from .derivations import (
     conjugate,
     cyclic_C,
     cyclic_C_bar,
-    cyclic_C_bar_zform,
     cyclic_C_pair,
-    cyclic_C_zform,
     derivation_D,
     derivation_Dn,
     ihara_kaneko,

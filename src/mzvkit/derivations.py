@@ -13,8 +13,7 @@ A cyclic derivation is trace-like rather than Leibniz: its defining law is
 and everything the relation machinery needs is the canonical element
 (C(w), 1) together with the explicit pairing (C(w), f).  The generator C used
 throughout sends x to 0 and pairs y as (C(y), f) = x f y.  Its conjugate is
-tau . C . tau.  Closed z-letter forms of both are provided as independent
-implementations for cross-checking.
+tau . C . tau.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .words import (
-    DomainError,
     Poly,
     Word,
     X,
@@ -32,11 +30,10 @@ from .words import (
     _add_into,
     _raw,
     all_words,
+    check_int,
     check_word,
-    composition_of,
     linear,
     tau,
-    word_of,
 )
 
 
@@ -70,8 +67,7 @@ def derivation_D() -> Derivation:
 
 def derivation_Dn(n: int) -> Derivation:
     """The derivation with x -> 0 and y -> x^n y."""
-    if n < 1:
-        raise DomainError(f"index must be >= 1: {n}")
+    check_int(n, 1, "index")
     return Derivation(Poly.zero(), Poly.word(X * n + Y))
 
 
@@ -82,8 +78,7 @@ def conjugate(d: Derivation) -> Derivation:
 
 def sum_of_words(m: int) -> Poly:
     """Sum of all 2^m words of weight m, i.e. (x + y)^m expanded."""
-    if m < 0:
-        raise DomainError(f"negative weight: {m}")
+    check_int(m, 0, "weight")
     return Poly({w: 1 for w in all_words(m)})
 
 
@@ -93,8 +88,7 @@ def ihara_kaneko(n: int) -> Derivation:
     The image of y is forced: antisymmetry plus killing x + y leave a unique
     consistent completion.
     """
-    if n < 1:
-        raise DomainError(f"index must be >= 1: {n}")
+    check_int(n, 1, "index")
     img = Poly.word(X) * sum_of_words(n - 1) * Poly.word(Y)
     return Derivation(img, -img)
 
@@ -124,26 +118,3 @@ def cyclic_C_pair(w: Word, f: Word) -> Poly:
 def cyclic_C_bar(p) -> Poly:
     """Conjugate cyclic derivation: tau . cyclic_C . tau."""
     return cyclic_C(tau(p)).tau()
-
-
-def cyclic_C_zform(w: Word) -> Poly:
-    """Closed form of cyclic_C on z-words: bump each z-index in turn and rotate.
-
-    z_{i1} ... z_{il}  ->  sum over j of  z_{ij + 1} z_{i(j+1)} ... z_{i(j-1)}.
-    Defined for words of the y-ending subalgebra only; independent of the
-    position-based implementation, for cross-checking.
-    """
-    c = composition_of(w)
-    return _raw(dict(Counter(word_of((c[j] + 1,) + c[j + 1 :] + c[:j]) for j in range(len(c)))))
-
-
-def cyclic_C_bar_zform(w: Word) -> Poly:
-    """Closed double-sum form of the conjugate on z-words.
-
-    z_{i1} ... z_{il}  ->  sum over positions j with ij >= 2 and q = 0 .. ij-2
-    of  z_{ij - q} z_{i(j+1)} ... z_{i(j-1)} z_{q+1}.
-    """
-    c = composition_of(w)
-    zs = ((k - q,) + c[j + 1 :] + c[:j] + (q + 1,) for j, k in enumerate(c) for q in range(k - 1))
-    return _raw(dict(Counter(map(word_of, zs))))
-

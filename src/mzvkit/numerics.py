@@ -56,6 +56,7 @@ import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
+from numbers import Real
 
 import numpy as np
 
@@ -63,9 +64,11 @@ from .words import (
     Composition,
     DomainError,
     Poly,
+    _is_int,
+    check_int,
     composition_of,
+    h0_support,
     is_admissible_composition,
-    is_h0_word,
 )
 
 DEFAULT_CUTOFF = 10**6
@@ -97,21 +100,24 @@ class VerifyReport:
 _mzv_cache: dict = {}
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def check_args(cutoff: int, digits: int = DEFAULT_DIGITS, slack: float = DEFAULT_SLACK) -> None:
     """Reject a cutoff or precision that is not an integer >= 1 and a negative or non-finite slack."""
-    if not _is_int(cutoff) or cutoff < 1:
-        raise DomainError(f"cutoff must be an integer >= 1: {cutoff!r}")
-    if not _is_int(digits) or digits < 1:
-        raise DomainError(f"precision must be an integer >= 1 digit: {digits!r}")
-    if not (math.isfinite(slack) and slack >= 0):
-        raise DomainError(f"slack must be finite and >= 0: {slack}")
+    check_int(cutoff, 1, "cutoff")
+    check_int(digits, 1, "precision")
+    if not (isinstance(slack, Real) and math.isfinite(slack) and slack >= 0):
+        raise DomainError(f"slack must be finite and >= 0: {slack!r}")
+
+
+def _check_composition(c: Composition) -> None:
+    """Reject a composition that is neither empty nor admissible with integer parts."""
+    if not all(map(_is_int, c)):
+        raise DomainError(f"composition parts must be integers: {c}")
+    if c and not is_admissible_composition(c):
+        raise DomainError(f"composition is not admissible (series diverges): {c}")
 
 
 def mzv_tail_bound(c: Composition, cutoff: int) -> float:
+    _check_composition(c)
     check_args(cutoff)
     l = len(c)
     if l == 0:
@@ -134,10 +140,7 @@ def mzv_eval_many(comps, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT_DIG
     """
     comps = [tuple(c) for c in comps]
     for c in comps:
-        if not all(map(_is_int, c)):
-            raise DomainError(f"composition parts must be integers: {c}")
-        if c and not is_admissible_composition(c):
-            raise DomainError(f"composition is not admissible (series diverges): {c}")
+        _check_composition(c)
     check_args(cutoff, digits)
     todo = {c for c in comps if (c, cutoff, digits) not in _mzv_cache}
     if todo:
@@ -198,10 +201,7 @@ def _exact_sum(c: Composition, cutoff: int) -> Fraction:
 
 def _support(p: Poly) -> list:
     """Compositions of p's words in items() order; every word must be admissible or empty."""
-    for w in p.support():
-        if not is_h0_word(w):
-            raise DomainError(f"word is not admissible: {w!r}")
-    return [composition_of(w) for w in p.support()]
+    return [composition_of(w) for w in h0_support(p)]
 
 
 def zeta_of_poly(p: Poly, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT_DIGITS) -> EvalResult:
@@ -228,8 +228,7 @@ def _check_series_args(c: Composition, k_last: int, cutoff: int) -> None:
     """T(c) is checked as S(c, 0): both diverge unless some exponent exceeds 1."""
     if not c or not all(_is_int(k) and k >= 1 for k in c):
         raise DomainError(f"series arguments must be positive integers: {c}")
-    if not _is_int(k_last) or k_last < 0:
-        raise DomainError(f"last exponent must be an integer >= 0: {k_last!r}")
+    check_int(k_last, 0, "last exponent")
     if max(c) < 2 and k_last < 1:
         raise DomainError(f"series diverges: {c} with last exponent {k_last}")
     check_args(cutoff)

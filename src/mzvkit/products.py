@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .words import DomainError, Poly, Word, X, Y, _add_into, _raw, as_poly, bilinear, is_h0_word
+from .words import Poly, Word, X, Y, _add_into, _raw, as_poly, bilinear, h0_support
 
 
 @lru_cache(maxsize=None)
@@ -73,8 +73,6 @@ def double_shuffle(u, v) -> Poly:
     """
     u = as_poly(u)
     v = as_poly(v)
-    for p in (u, v):
-        for w in p.support():
-            if not is_h0_word(w):
-                raise DomainError(f"word is not admissible: {w!r}")
+    h0_support(u)
+    h0_support(v)
     return shuffle(u, v) - harmonic(u, v)

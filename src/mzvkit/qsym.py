@@ -43,6 +43,7 @@ from .words import (
     _add_into,
     _raw,
     as_poly,
+    check_int,
     composition_of,
     compositions,
     linear,
@@ -87,23 +88,20 @@ def act(u, w) -> Poly:
 
 def power_p(n: int) -> Poly:
     """Power-sum element: the single letter z_n."""
-    if n < 1:
-        raise DomainError(f"power-sum index must be >= 1: {n}")
+    check_int(n, 1, "power-sum index")
     return Poly.word(X * (n - 1) + Y)
 
 
 def elementary_e(n: int) -> Poly:
     """Elementary element: y^n."""
-    if n < 0:
-        raise DomainError(f"negative index: {n}")
+    check_int(n, 0, "index")
     return Poly.word(Y * n)
 
 
 @lru_cache(maxsize=None)
 def complete_h(n: int) -> Poly:
     """Complete element: sum of all z-monomials of weight n (2^(n-1) terms)."""
-    if n < 0:
-        raise DomainError(f"negative index: {n}")
+    check_int(n, 0, "index")
     return Poly({word_of(c): 1 for c in compositions(n)})
 
 
@@ -117,9 +115,7 @@ class TruncatedSeries:
     __slots__ = ("_coeffs", "order")
 
     def __init__(self, coeffs: Mapping, order: int):
-        if order < 0:
-            raise DomainError(f"negative truncation order: {order}")
-        self.order = order
+        self.order = check_int(order, 0, "truncation order")
         self._coeffs = {
             k: p for k, p in coeffs.items() if 0 <= k <= order and p
         }
@@ -184,12 +180,14 @@ def _series_sum(terms, order: int) -> TruncatedSeries:
 
 def sigma_t(p, order: int) -> TruncatedSeries:
     """Automorphism whose t^k coefficient is the action of the complete h_k."""
+    check_int(order, 0, "truncation order")
     p = as_poly(p)
     return TruncatedSeries({k: act(complete_h(k), p) for k in range(order + 1)}, order)
 
 
 def sigma_t_inverse(p, order: int) -> TruncatedSeries:
     """Inverse of sigma_t: t^k coefficient is (-1)^k times the e_k action."""
+    check_int(order, 0, "truncation order")
     p = as_poly(p)
     return TruncatedSeries(
         {k: act(elementary_e(k), p).scale((-1) ** k) for k in range(order + 1)}, order
@@ -223,6 +221,7 @@ def _exp_graded_derivation(der_of_index, p: Poly, order: int) -> TruncatedSeries
     partial_n partial_m x = x z^(n+m-1) (z-x) - x z^(n-1) x z^(m-1) (z-x)
     - x z^(m-1) x z^(n-1) (z-x) is symmetric in n and m.
     """
+    check_int(order, 0, "truncation order")
     f = [p]
     for m in range(1, order + 1):
         acc: dict = {}

@@ -30,10 +30,11 @@ from .words import (
     Poly,
     _raw,
     admissible_words,
+    check_int,
     compositions,
-    cyclic_class,
     format_composition,
-    is_admissible_word,
+    h0_support,
+    rotations,
     word_of,
 )
 
@@ -79,9 +80,7 @@ def _collect(weight: int, family: str, pairs) -> list:
             continue
         if element.weight() != weight:
             raise DomainError(f"relation element is not homogeneous of weight {weight}")
-        for w in element.support():
-            if not is_admissible_word(w):
-                raise DomainError(f"relation support leaves the admissible basis: {w!r}")
+        h0_support(element)
         element = normalize(element)
         if element not in out:
             out[element] = Relation(element, weight, family, tuple(sorted(params.items())))
@@ -111,7 +110,7 @@ def gen_cyclic_sum(weight: int) -> list:
     if weight < 2:
         return []
     reps = dict.fromkeys(  # powers of y are excluded
-        cyclic_class(c).representative for c in compositions(weight - 1) if c and set(c) != {1}
+        min(rotations(c)) for c in compositions(weight - 1) if c and set(c) != {1}
     )
     pairs = (
         (cyclic_C(w) - cyclic_C_bar(w), {"source": format_composition(rep)})
@@ -187,8 +186,7 @@ FAMILIES = {
 
 def _check_families(weight: int, families) -> tuple:
     """The family names as a tuple, after rejecting weight < 2, none, or an unknown one."""
-    if weight < 2:
-        raise DomainError(f"weight must be >= 2: {weight}")
+    check_int(weight, 2, "weight")
     families = tuple(families)
     if not families:
         raise DomainError("no relation family given")

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -47,19 +46,15 @@ def check_word(w: Word) -> Word:
     return w
 
 
-def weight(w: Word) -> int:
-    """Total number of letters of the word."""
-    return len(w)
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
-def length(w: Word) -> int:
-    """Number of y letters (the depth of the nested-series index)."""
-    return w.count(Y)
-
-
-def colength(w: Word) -> int:
-    """Number of x letters; weight = length + colength."""
-    return w.count(X)
+def check_int(n, least: int, what: str) -> int:
+    """n itself if it is an int (not a bool) >= least; otherwise DomainError."""
+    if not _is_int(n) or n < least:
+        raise DomainError(f"{what} must be an integer >= {least}: {n!r}")
+    return n
 
 
 def tau_word(w: Word) -> Word:
@@ -87,10 +82,19 @@ def is_admissible_word(w: Word) -> bool:
     return bool(w) and w.startswith(X) and w.endswith(Y)
 
 
+def h0_support(p: "Poly") -> list:
+    """The support of p in graded-lex order; DomainError unless every word is admissible or the unit."""
+    support = p.support()
+    for w in support:
+        if not is_h0_word(w):
+            raise DomainError(f"word is not admissible: {w!r}")
+    return support
+
+
 def word_of(c: Composition) -> Word:
     """Word x^(k1-1) y ... x^(kl-1) y of a composition (k1, ..., kl)."""
-    if any(k < 1 for k in c):
-        raise DomainError(f"composition parts must be >= 1: {c}")
+    for k in c:
+        check_int(k, 1, "composition part")
     return "".join(X * (k - 1) + Y for k in c)
 
 
@@ -117,6 +121,8 @@ def dual_composition(c: Composition) -> Composition:
     """
     if not c:
         raise DomainError("dual of the empty composition is undefined")
+    for k in c:
+        check_int(k, 1, "composition part")
     if not is_admissible_composition(c):
         raise DomainError(f"composition is not admissible: {c}")
     n = sum(c)
@@ -126,52 +132,24 @@ def dual_composition(c: Composition) -> Composition:
     return tuple(b - a for a, b in zip([0] + complement, complement))
 
 
-@dataclass(frozen=True)
-class CyclicClass:
-    """Rotation class of a composition.
-
-    representative is the lexicographically smallest rotation; members lists
-    the distinct rotations in sorted order; multiplicity m is the largest m
-    with c = u^m, so len(members) * m == len(c).
-    """
-
-    representative: Composition
-    members: tuple
-    multiplicity: int
-
-
 def rotations(c: Composition) -> Iterator[Composition]:
     for i in range(len(c)):
         yield c[i:] + c[:i]
 
 
-def cyclic_class(c: Composition) -> CyclicClass:
-    if not c:
-        raise DomainError("cyclic class of the empty composition is undefined")
-    if any(k < 1 for k in c):
-        raise DomainError(f"composition parts must be >= 1: {c}")
-    members = tuple(sorted(set(rotations(c))))
-    m = len(c) // len(members)
-    return CyclicClass(min(members), members, m)
-
-
 def compositions(n: int) -> Iterator[Composition]:
     """All 2^(n-1) compositions of n, in lexicographic order."""
-    if n < 0:
-        raise DomainError(f"negative weight: {n}")
+    check_int(n, 0, "weight")
+    return _compositions(n)
+
+
+def _compositions(n: int) -> Iterator[Composition]:
     if n == 0:
         yield ()
         return
     for head in range(1, n + 1):
-        for rest in compositions(n - head):
+        for rest in _compositions(n - head):
             yield (head,) + rest
-
-
-def admissible_compositions(n: int) -> Iterator[Composition]:
-    """Compositions of n with first part > 1 (2^(n-2) of them for n >= 2)."""
-    for c in compositions(n):
-        if c and c[0] > 1:
-            yield c
 
 
 def all_words(n: int) -> Iterator[Word]:
@@ -182,6 +160,8 @@ def all_words(n: int) -> Iterator[Word]:
 
 def admissible_words(n: int) -> list:
     """Admissible words of weight n in graded-lex order (the H0 basis)."""
+    if not _is_int(n):
+        raise DomainError(f"weight must be an integer: {n!r}")
     if n < 2:
         return []
     return [X + "".join(mid) + Y for mid in itertools.product(X + Y, repeat=n - 2)]
@@ -203,6 +183,8 @@ class Poly:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping | Iterable | None = None):
+        if isinstance(terms, str):
+            raise DomainError(f"Poly takes (word, coefficient) pairs, not a string: {terms!r}")
         acc: dict = {}
         if terms:
             for w, c in terms.items() if isinstance(terms, Mapping) else terms:
@@ -277,8 +259,7 @@ class Poly:
         return NotImplemented
 
     def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise DomainError("negative powers are undefined in the word algebra")
+        check_int(n, 0, "exponent")
         out = Poly.one()
         for _ in range(n):
             out = out * self
@@ -300,10 +281,6 @@ class Poly:
         if len(weights) == 1:
             return weights.pop()
         return None
-
-    def length_part(self, l: int) -> "Poly":
-        """Terms whose words contain exactly l letters y."""
-        return _raw({w: c for w, c in self._terms.items() if w.count(Y) == l})
 
     def __repr__(self) -> str:
         return f"Poly({format_poly(self)!r})"

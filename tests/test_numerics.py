@@ -24,11 +24,11 @@ from mzvkit.relations import Relation, generate
 from mzvkit.words import (
     DomainError,
     Poly,
-    admissible_compositions,
     admissible_words,
     composition_of,
     tau_word,
 )
+from oracles import admissible_compositions
 
 mpmath.mp.dps = 40
 
@@ -105,6 +105,10 @@ def test_tail_bound_shape():
     assert mzv_tail_bound((3, 1), 100) < mzv_tail_bound((2, 1), 100)
     with pytest.raises(DomainError):
         mzv_tail_bound((2,), 0)
+    # the composition is checked as in mzv_eval: a divergent, non-integer or zero part raises
+    for c in ((1,), (1, 2), (2.5,), (0, 2)):
+        with pytest.raises(DomainError):
+            mzv_tail_bound(c, 100)
 
 
 def test_zeta_of_poly():
@@ -316,6 +320,8 @@ def test_inadmissible_support_raises_before_any_evaluation(monkeypatch):
     bad = Relation(p, 3, "duality", ())
     with pytest.raises(DomainError):
         verify(generate(3) + [bad], cutoff=200)
+    with pytest.raises(DomainError):
+        verify(generate(3), 100, slack="1")
     assert calls == [] and numerics._mzv_cache == {}
 
 

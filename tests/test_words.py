@@ -2,24 +2,20 @@ import pytest
 from fractions import Fraction
 from hypothesis import example, given, strategies as st
 
+import mzvkit
 from mzvkit.words import (
-    CyclicClass,
     DomainError,
     Poly,
-    admissible_compositions,
     admissible_words,
     all_words,
     bilinear,
-    colength,
     composition_of,
     compositions,
-    cyclic_class,
     dual_composition,
     format_poly,
     is_admissible_word,
     is_h0_word,
     is_h1_word,
-    length,
     linear,
     parse_composition,
     parse_poly,
@@ -27,10 +23,11 @@ from mzvkit.words import (
     poly_from_obj,
     tau,
     poly_to_obj,
+    rotations,
     tau_word,
-    weight,
     word_of,
 )
+from oracles import admissible_compositions
 
 words_st = st.text(alphabet="xy", max_size=8)
 polys_st = st.dictionaries(
@@ -76,11 +73,11 @@ def test_bilinear_matches_term_by_term_sum(u, v):
 
 
 def test_weight_length_examples():
-    assert weight("xxyxy") == 5
-    assert length("xxyxy") == 2
-    assert weight("") == 0 and length("") == 0
-    assert weight("xyxyy") == 5 and length("xyxyy") == 3
-    assert colength("xxyxy") == 3
+    assert len("xxyxy") == 5
+    assert "xxyxy".count("y") == 2
+    assert len("") == 0 and "".count("y") == 0
+    assert len("xyxyy") == 5 and "xyxyy".count("y") == 3
+    assert "xxyxy".count("x") == 3
 
 
 def test_tau_examples():
@@ -100,8 +97,8 @@ def test_tau_involution(w):
 
 @given(words_st)
 def test_tau_swaps_length_and_colength(w):
-    assert weight(tau_word(w)) == weight(w)
-    assert length(tau_word(w)) == colength(w)
+    assert len(tau_word(w)) == len(w)
+    assert tau_word(w).count("y") == w.count("x")
 
 
 @given(words_st, words_st)
@@ -113,7 +110,7 @@ def test_tau_exhaustive_small():
     for n in range(9):
         for w in all_words(n):
             assert tau_word(tau_word(w)) == w
-            assert length(tau_word(w)) == colength(w)
+            assert tau_word(w).count("y") == w.count("x")
 
 
 def test_tau_antiautomorphism_exhaustive():
@@ -173,25 +170,13 @@ def test_dual_of_juxtaposition_reverses():
                     assert dual_composition(c1 + c2) == dual_composition(c2) + dual_composition(c1)
 
 
-def test_cyclic_class():
-    cc = cyclic_class((2, 3))
-    assert set(cc.members) == {(2, 3), (3, 2)}
-    assert cc.multiplicity == 1
-    assert cc.representative == (2, 3)
-    assert cyclic_class((1, 1, 1)) == CyclicClass((1, 1, 1), ((1, 1, 1),), 3)
-    cc = cyclic_class((2, 1, 2, 1))
-    assert set(cc.members) == {(2, 1, 2, 1), (1, 2, 1, 2)}
-    assert cc.multiplicity == 2
-    with pytest.raises(DomainError):
-        cyclic_class(())
-
-
 def test_cyclic_class_count_invariant():
+    # the distinct rotations of c number len(c) / m, with m the largest m such that c = u^m
     for n in range(1, 8):
         for c in compositions(n):
-            cc = cyclic_class(c)
-            assert len(cc.members) * cc.multiplicity == len(c)
-            assert all(sorted(m) == sorted(c) for m in cc.members)
+            members = set(rotations(c))
+            assert len(c) % len(members) == 0
+            assert all(sorted(m) == sorted(c) for m in members)
 
 
 def test_membership_predicates():
@@ -289,3 +274,26 @@ def test_compositions_count():
     for n in range(1, 9):
         assert len(list(compositions(n))) == 2 ** (n - 1)
         assert len(list(admissible_compositions(n))) == (2 ** (n - 2) if n >= 2 else 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "word_of((2.5,))",
+        "dual_composition((2.5, 1))",
+        "compositions(2.5)",
+        "admissible_words(2.5)",
+        "complete_h(2.5)",
+        "power_p(2.5)",
+        "derivation_Dn(2.5)",
+        "generate(2.5)",
+        "rank_report(3.0)",
+        "sigma_t('xy', 2.5)",
+        "Poly.word('xy') ** 2.5",
+        "Poly('xy')",
+        "word_of((True,))",
+    ],
+)
+def test_non_integer_arguments_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        eval(call, vars(mzvkit))
