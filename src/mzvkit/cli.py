@@ -10,6 +10,7 @@ success and all-pass, 1 on domain errors or any verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -191,6 +192,7 @@ def _cmd_eval(args, fmt):
     return [f"{format_composition(c)} = {r.value}  (cutoff {r.truncation}, tail <= {r.tail_bound:.3e})"], 0
 
 
+@functools.cache  # one parser per process; parse_args returns a fresh Namespace each call
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="mzv", description=__doc__)
     top.add_argument("--format", choices=("text", "json"), default="text")
@@ -247,8 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         lines, code = args.run(args, args.format)
     except DomainError as exc:

@@ -110,7 +110,8 @@ def _cyclic_word(w: Word) -> Poly:
 
 def cyclic_C_pair(w: Word, f: Word) -> Poly:
     """Full pairing (C(w), f); reduces to cyclic_C at f = the unit word."""
-    check_word(w + f)
+    check_word(w)
+    check_word(f)
     rotations = Counter(X + w[i + 1 :] + f + w[:i] + Y for i, a in enumerate(w) if a == Y)
     return _raw(dict(rotations))
 

@@ -210,8 +210,11 @@ def generate(weight: int, families=FAMILIES) -> list:
 class RowSpace:
     """Span over the rationals of Polys on a basis of words, by fraction-free elimination.
 
-    A Poly enters as its integer coordinate vector, denominators cleared.  Rows
-    are primitive integer vectors with a positive pivot (first nonzero) entry,
+    The basis order is the column order, so pivots are taken on the basis
+    words in the order given; rank_report gives the admissible basis
+    reversed, which keeps the entries far smaller (see there).  A Poly
+    enters as its integer coordinate vector, denominators cleared.  Rows are
+    primitive integer vectors with a positive pivot (first nonzero) entry,
     keyed by pivot column.  Against the row with pivot p a vector v becomes
     (row[p]*v - v[p]*row) / gcd(v[p], row[p]), with its content divided out.
     """
@@ -223,15 +226,19 @@ class RowSpace:
     def _reduce(self, poly: Poly) -> tuple:
         """(p, v): the integer vector of poly, reduced until its first nonzero column p
         has no pivot; p is None when v reduces to zero."""
-        v = [0] * len(self.column)
+        entries = {}
         for w, c in poly.items():
-            if w not in self.column:
+            j = self.column.get(w)
+            if j is None:
                 raise DomainError(f"word outside the basis: {w!r}")
-            v[self.column[w]] = c
-        if any(type(c) is not int for c in v):  # Fraction entries: clear denominators
-            den = lcm(*(c.denominator for c in v))
-            v = [c.numerator * (den // c.denominator) for c in v]
-        for p in range(len(v)):
+            entries[j] = c
+        if any(type(c) is not int for c in entries.values()):  # clear denominators
+            den = lcm(*(c.denominator for c in entries.values()))
+            entries = {j: c.numerator * (den // c.denominator) for j, c in entries.items()}
+        v = [0] * len(self.column)
+        for j, c in entries.items():
+            v[j] = c
+        for p in range(min(entries, default=0), len(v)):  # columns before the first term are 0
             if not v[p]:
                 continue
             row = self.rows.get(p)
@@ -274,15 +281,25 @@ class RankReport:
 
 
 def rank_report(weight: int, families=FAMILIES) -> RankReport:
+    """Rank of each family's span, and of their union, over the admissible basis.
+
+    The RowSpaces pivot on the basis in reverse, last graded-lex word first.
+    The ranks do not depend on the order, but the cost does: at weight 11
+    the largest stored row entry of the double_shuffle span falls from
+    about 1e174 to about 1e57, and the span is built about 40 times faster.
+    Why the reversed order keeps the entries small is not established.  The
+    report's basis stays in graded-lex order.
+    """
     families = _check_families(weight, families)
     basis = admissible_words(weight)
-    union = RowSpace(basis)
+    columns = basis[::-1]
+    union = RowSpace(columns)
     family_ranks: dict = {}
     counts: dict = {}
     for family in families:
         rels = generate(weight, [family])
         counts[family] = len(rels)
-        solo = RowSpace(basis)
+        solo = RowSpace(columns)
         for r in rels:
             if solo.add(r.element):  # else r is in solo's span, which lies in union's
                 union.add(r.element)

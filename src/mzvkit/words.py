@@ -41,7 +41,7 @@ class DomainError(ValueError):
 
 
 def check_word(w: Word) -> Word:
-    if not _WORD_RE.match(w):
+    if type(w) is not str or not _WORD_RE.match(w):
         raise DomainError(f"not a word over {{x,y}}: {w!r}")
     return w
 
@@ -154,8 +154,8 @@ def _compositions(n: int) -> Iterator[Composition]:
 
 def all_words(n: int) -> Iterator[Word]:
     """All 2^n words of weight n, in lexicographic (x < y) order."""
-    for letters in itertools.product(X + Y, repeat=n):
-        yield "".join(letters)
+    check_int(n, 0, "weight")
+    return ("".join(letters) for letters in itertools.product(X + Y, repeat=n))
 
 
 def admissible_words(n: int) -> list:
@@ -187,7 +187,11 @@ class Poly:
             raise DomainError(f"Poly takes (word, coefficient) pairs, not a string: {terms!r}")
         acc: dict = {}
         if terms:
-            for w, c in terms.items() if isinstance(terms, Mapping) else terms:
+            for term in terms.items() if isinstance(terms, Mapping) else terms:
+                try:
+                    w, c = term
+                except (TypeError, ValueError):
+                    raise DomainError(f"not a (word, coefficient) pair: {term!r}") from None
                 _add_into(acc, Poly.word(w, c))
         object.__setattr__(self, "_terms", acc)
         object.__setattr__(self, "_hash", None)
@@ -294,7 +298,10 @@ def _coeff(c) -> int | Fraction:
     if type(c) is int:
         return c
     if type(c) is not Fraction:
-        c = Fraction(c)
+        try:
+            c = Fraction(c)
+        except (TypeError, ValueError, ArithmeticError):
+            raise DomainError(f"not a rational coefficient: {c!r}") from None
     return c.numerator if c.denominator == 1 else c
 
 
@@ -328,9 +335,20 @@ def _add_into(acc: dict, p: Poly, c=1) -> dict:
 
 
 def linear(word_fn, p) -> Poly:
-    """Extend word_fn, a map from words to Polys, linearly to p (a Poly or a word)."""
+    """Extend word_fn, a map from words to Polys, linearly to p (a Poly or a word).
+
+    A one-term p = c w gives word_fn(w) itself when c is 1, and its scaled
+    copy otherwise: the image, often a memoized one, is shared, not copied.
+    That is safe because nothing mutates a Poly's term dict once it is
+    wrapped; every accumulator passed to _add_into is a fresh dict.
+    """
+    terms = as_poly(p)._terms
+    if len(terms) == 1:
+        ((w, c),) = terms.items()
+        image = word_fn(w)
+        return image if c == 1 else image.scale(c)
     acc: dict = {}
-    for w, c in as_poly(p)._terms.items():
+    for w, c in terms.items():
         _add_into(acc, word_fn(w), c)
     return _raw(acc)
 

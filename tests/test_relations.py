@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 from math import gcd
 
@@ -262,6 +263,20 @@ def test_rowspace_matches_fraction_reference(case):
         assert not any(row[:p]) and row[p] > 0 and gcd(*row) == 1
 
 
+@given(fraction_rows())
+def test_rowspace_column_order_does_not_change_the_span(case):
+    ncols, rows, probe = case
+    forward, reverse = RowSpace(BASIS8[:ncols]), RowSpace(BASIS8[:ncols][::-1])
+    for row in rows:
+        assert forward.add(_poly(row)) == reverse.add(_poly(row))
+        assert forward.rank == reverse.rank
+    assert forward.contains(_poly(probe)) == reverse.contains(_poly(probe))
+
+
+# rank_report at weights 2..11 is shared by the dimension and rank tests
+report = functools.cache(rank_report)
+
+
 def zagier_dimension(weight: int) -> int:
     d = [1, 0, 1]  # d_0, d_1, d_2; then d_k = d_(k-2) + d_(k-3)
     while len(d) <= weight:
@@ -269,13 +284,36 @@ def zagier_dimension(weight: int) -> int:
     return d[weight]
 
 
-@pytest.mark.parametrize("weight", range(2, 11))
+@pytest.mark.parametrize("weight", range(2, 12))
 def test_nullity_is_zagier_dimension(weight):
-    assert [zagier_dimension(w) for w in range(2, 11)] == [1, 1, 1, 2, 2, 3, 4, 5, 7]
-    assert rank_report(weight).nullity == zagier_dimension(weight)
+    assert [zagier_dimension(w) for w in range(2, 12)] == [1, 1, 1, 2, 2, 3, 4, 5, 7, 9]
+    assert report(weight).nullity == zagier_dimension(weight)
     if weight <= 9:
         pair = rank_report(weight, ["double_shuffle", "hoffman43"])
         assert pair.nullity == zagier_dimension(weight)
+
+
+# family ranks in FAMILIES order, then the union rank, as pivoting in
+# graded-lex column order gave them
+GRADED_LEX_RANKS = {
+    2: ([0, 0, 0, 0, 0, 0, 0, 0], 0),
+    3: ([1, 1, 1, 1, 1, 1, 0, 0], 1),
+    4: ([1, 2, 2, 2, 2, 2, 1, 1], 3),
+    5: ([4, 4, 4, 3, 4, 5, 2, 2], 6),
+    6: ([6, 8, 6, 4, 8, 10, 6, 7], 14),
+    7: ([16, 16, 12, 5, 16, 22, 12, 16], 29),
+    8: ([28, 32, 18, 6, 32, 44, 27, 40], 60),
+    9: ([64, 64, 34, 7, 64, 90, 55, 92], 123),
+    10: ([120, 128, 58, 8, 128, 181, 116, 200], 249),
+}
+
+
+@pytest.mark.parametrize("weight", GRADED_LEX_RANKS)
+def test_ranks_do_not_depend_on_column_order(weight):
+    family_ranks, union_rank = GRADED_LEX_RANKS[weight]
+    rep = report(weight)
+    assert rep.family_ranks == dict(zip(FAMILIES, family_ranks))
+    assert rep.cumulative_rank == union_rank
 
 
 def test_rank_weight2():

@@ -3,6 +3,9 @@ from fractions import Fraction
 from hypothesis import example, given, strategies as st
 
 import mzvkit
+from mzvkit.derivations import derivation_D
+from mzvkit.products import harmonic, shuffle
+from mzvkit.qsym import TruncatedSeries, act
 from mzvkit.words import (
     DomainError,
     Poly,
@@ -70,6 +73,31 @@ def test_bilinear_matches_term_by_term_sum(u, v):
     assert got == expected
     assert all(c for _, c in got.items())
     assert bilinear(_commutator, u, u) == Poly.zero()
+
+
+# memoized word images, which linear hands out without copying
+SHARED_IMAGES = {
+    "shuffle": lambda: shuffle("xy", "xxy"),
+    "harmonic": lambda: harmonic("xy", "xxy"),
+    "Derivation.apply": lambda: derivation_D().apply("xxyy"),
+    "act": lambda: act(Poly.word("xy"), "xxyy"),
+}
+
+
+@pytest.mark.parametrize("name", SHARED_IMAGES)
+def test_shared_word_image_is_never_mutated(name):
+    image = SHARED_IMAGES[name]
+    p = image()
+    before = dict(p.items())
+    assert image() is p  # shared, not copied
+    p + p, p - p, -p, p.scale(3), p.scale(Fraction(1, 2)), p * p
+    Poly.word("x") * p, p * Poly.word("y"), p ** 2
+    linear(lambda w: p, Poly({"x": 1, "y": -1}))
+    bilinear(lambda u, v: p, Poly({"x": 1, "y": 2}), "x")
+    s = TruncatedSeries({0: p, 1: p}, 2)
+    s + s, s - s, s * s, s.scale(2), 3 * s
+    assert dict(p.items()) == before
+    assert image() is p
 
 
 def test_weight_length_examples():
@@ -292,6 +320,11 @@ def test_compositions_count():
         "Poly.word('xy') ** 2.5",
         "Poly('xy')",
         "word_of((True,))",
+        "list(all_words(2.5))",
+        "Poly.word('xy', 'a')",
+        "Poly([('xy',)])",
+        "Poly([1, 2])",
+        "cyclic_C_pair('xy', 3)",
     ],
 )
 def test_non_integer_arguments_raise_domain_error(call):
