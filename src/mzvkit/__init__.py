@@ -27,7 +27,6 @@ from .words import (
     parse_word,
     poly_from_obj,
     poly_to_obj,
-    tau,
     tau_word,
     word_of,
 )
@@ -41,7 +40,6 @@ from .derivations import (
     derivation_D,
     derivation_Dn,
     ihara_kaneko,
-    sum_of_words,
 )
 from .qsym import (
     TruncatedSeries,

@@ -29,11 +29,10 @@ from .words import (
     Y,
     _add_into,
     _raw,
-    all_words,
+    as_poly,
     check_int,
     check_word,
     linear,
-    tau,
 )
 
 
@@ -76,12 +75,6 @@ def conjugate(d: Derivation) -> Derivation:
     return Derivation(d.image_of_y.tau(), d.image_of_x.tau())
 
 
-def sum_of_words(m: int) -> Poly:
-    """Sum of all 2^m words of weight m, i.e. (x + y)^m expanded."""
-    check_int(m, 0, "weight")
-    return Poly({w: 1 for w in all_words(m)})
-
-
 def ihara_kaneko(n: int) -> Derivation:
     """Antisymmetric derivation with x -> x (x+y)^(n-1) y and y -> its negative.
 
@@ -89,7 +82,8 @@ def ihara_kaneko(n: int) -> Derivation:
     consistent completion.
     """
     check_int(n, 1, "index")
-    img = Poly.word(X) * sum_of_words(n - 1) * Poly.word(Y)
+    x, y = Poly.word(X), Poly.word(Y)
+    img = x * (x + y) ** (n - 1) * y
     return Derivation(img, -img)
 
 
@@ -118,4 +112,4 @@ def cyclic_C_pair(w: Word, f: Word) -> Poly:
 
 def cyclic_C_bar(p) -> Poly:
     """Conjugate cyclic derivation: tau . cyclic_C . tau."""
-    return cyclic_C(tau(p)).tau()
+    return cyclic_C(as_poly(p).tau()).tau()

@@ -207,11 +207,7 @@ def _support(p: Poly) -> list:
 def zeta_of_poly(p: Poly, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT_DIGITS) -> EvalResult:
     """Linear extension of mzv_eval; support must be admissible (unit allowed)."""
     check_args(cutoff, digits)
-    return _combine(p, mzv_eval_many(_support(p), cutoff, digits), cutoff, digits)
-
-
-def _combine(p: Poly, results, cutoff: int, digits: int) -> EvalResult:
-    """Sum of p's coefficients times results, the values of its support in items() order."""
+    results = mzv_eval_many(_support(p), cutoff, digits)
     total = Decimal(0)
     tail = 0.0
     with localcontext() as ctx:
@@ -345,12 +341,11 @@ def verify(
     relations = list(relations)
     if not relations:
         raise DomainError("no relations to verify")
-    supports = [_support(rel.element) for rel in relations]  # all checked before any pass
-    union = list({c for support in supports for c in support})
-    value_of = dict(zip(union, mzv_eval_many(union, cutoff, digits)))
+    # every support is checked before the one shared pass, whose memo zeta_of_poly then reads
+    mzv_eval_many({c for rel in relations for c in _support(rel.element)}, cutoff, digits)
     reports = []
-    for rel, support in zip(relations, supports):
-        r = _combine(rel.element, [value_of[c] for c in support], cutoff, digits)
+    for rel in relations:
+        r = zeta_of_poly(rel.element, cutoff, digits)
         residual = abs(float(r.value))
         threshold = slack * r.tail_bound
         reports.append(VerifyReport(rel.label(), residual, threshold, residual <= threshold))

@@ -29,7 +29,7 @@ in t.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import factorial
 from typing import Mapping
 
@@ -43,10 +43,10 @@ from .words import (
     _add_into,
     _raw,
     as_poly,
+    bilinear,
     check_int,
     composition_of,
     compositions,
-    linear,
     word_of,
 )
 
@@ -81,9 +81,8 @@ def _act_word(zs: tuple, w: Word) -> Poly:
 
 def act(u, w) -> Poly:
     """Action of an element of the y-ending subalgebra on an arbitrary Poly."""
-    w = as_poly(w)
     # composition_of raises DomainError on a term of u outside the subalgebra
-    return linear(lambda uw: linear(partial(_act_word, composition_of(uw)), w), u)
+    return bilinear(lambda uw, ww: _act_word(composition_of(uw), ww), u, w)
 
 
 def power_p(n: int) -> Poly:

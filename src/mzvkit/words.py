@@ -62,11 +62,6 @@ def tau_word(w: Word) -> Word:
     return w[::-1].translate(_SWAP_XY)
 
 
-def tau(p) -> "Poly":
-    """The anti-automorphism on polynomials; accepts a Poly or a word."""
-    return as_poly(p).tau()
-
-
 def is_h1_word(w: Word) -> bool:
     """True if w is the unit or ends in y."""
     return w == "" or w.endswith(Y)
@@ -112,24 +107,17 @@ def is_admissible_composition(c: Composition) -> bool:
 
 
 def dual_composition(c: Composition) -> Composition:
-    """Dual of an admissible composition, computed on partial-sum sets.
+    """Dual of an admissible composition: the composition of tau_word(word_of(c)).
 
-    Take partial sums, reflect them in {1, ..., n} (a -> n+1-a, reversed),
-    complement inside {1, ..., n}, and take successive differences.  An
-    involution on admissible compositions; weight is preserved and length
+    An involution on admissible compositions; weight is preserved and length
     goes to weight - length.
     """
     if not c:
         raise DomainError("dual of the empty composition is undefined")
-    for k in c:
-        check_int(k, 1, "composition part")
+    w = word_of(c)
     if not is_admissible_composition(c):
         raise DomainError(f"composition is not admissible: {c}")
-    n = sum(c)
-    sums = list(itertools.accumulate(c))
-    reflected = {n + 1 - a for a in sums}
-    complement = [a for a in range(1, n + 1) if a not in reflected]
-    return tuple(b - a for a, b in zip([0] + complement, complement))
+    return composition_of(tau_word(w))
 
 
 def rotations(c: Composition) -> Iterator[Composition]:
@@ -298,6 +286,8 @@ def _coeff(c) -> int | Fraction:
     if type(c) is int:
         return c
     if type(c) is not Fraction:
+        if isinstance(c, (bool, float)):  # a float's binary value is rarely the one meant
+            raise DomainError(f"not a rational coefficient: {c!r}")
         try:
             c = Fraction(c)
         except (TypeError, ValueError, ArithmeticError):
@@ -428,8 +418,8 @@ _TERM_RE = re.compile(
 
 
 def _ratio(num: int, den: int) -> Fraction:
-    if not den:
-        raise DomainError(f"zero denominator: {num}/{den}")
+    if not (_is_int(num) and _is_int(den) and den):
+        raise DomainError(f"not a ratio of integers with nonzero denominator: {num!r}/{den!r}")
     return Fraction(num, den)
 
 
@@ -462,8 +452,9 @@ def poly_to_obj(p: Poly) -> list:
 
 
 def poly_from_obj(obj: Iterable) -> Poly:
-    terms = []
-    for t in obj:
-        w = t["word"]
-        terms.append(("" if w == "1" else w, _ratio(t["num"], t["den"])))
+    """Inverse of poly_to_obj; DomainError unless obj is a list of {word, num, den} terms."""
+    try:
+        terms = [("" if t["word"] == "1" else t["word"], _ratio(t["num"], t["den"])) for t in obj]
+    except (TypeError, KeyError):
+        raise DomainError(f"not a list of {{word, num, den}} terms: {obj!r}") from None
     return Poly(terms)

@@ -1,16 +1,30 @@
 """Independent reference implementations that the tests compare the package against.
 
-Each oracle computes a map of the package by a different route: the cyclic
-derivations in closed z-letter form, the exponential of a graded derivation
-term by term, and exact elimination in Fractions.  The small helpers after
-them enumerate inputs and pick out graded parts.
+Each oracle computes a map of the package by a different route: the dual
+composition on partial-sum sets, the cyclic derivations in closed z-letter
+form, the exponential of a graded derivation term by term, and exact
+elimination in Fractions.  The small helpers after them enumerate inputs
+and pick out graded parts.
 """
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 
 from mzvkit.qsym import TruncatedSeries
 from mzvkit.words import Poly, composition_of, compositions, word_of
+
+
+def dual_by_partial_sums(c):
+    """Dual of an admissible composition, computed on partial-sum sets.
+
+    Take partial sums, reflect them in {1, ..., n} (a -> n+1-a, reversed),
+    complement inside {1, ..., n}, and take successive differences.
+    """
+    n = sum(c)
+    reflected = {n + 1 - a for a in itertools.accumulate(c)}
+    complement = [a for a in range(1, n + 1) if a not in reflected]
+    return tuple(b - a for a, b in zip([0] + complement, complement))
 
 
 def cyclic_C_zform(w):

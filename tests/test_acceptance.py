@@ -43,7 +43,13 @@ from mzvkit.words import (
     tau_word,
     word_of,
 )
-from oracles import admissible_compositions, cyclic_C_bar_zform, cyclic_C_zform, length_part
+from oracles import (
+    admissible_compositions,
+    cyclic_C_bar_zform,
+    cyclic_C_zform,
+    dual_by_partial_sums,
+    length_part,
+)
 
 FULL_CUTOFF = 10**6
 ST_CUTOFF = 10**4
@@ -159,10 +165,12 @@ def test_a05_word_duality_matches_composition_duality():
     count = 0
     for n in range(2, 11):
         for c in admissible_compositions(n):
-            assert word_of(dual_composition(c)) == tau_word(word_of(c))
-            assert dual_composition(dual_composition(c)) == c
+            d = dual_composition(c)
+            assert d == dual_by_partial_sums(c)
+            assert word_of(d) == tau_word(word_of(c))
+            assert dual_composition(d) == c
             count += 1
-    report("A05", f"word-level and composition-level duality agree on {count} compositions")
+    report("A05", f"word-level and partial-sum duality agree on {count} compositions")
 
 
 def test_a06_rank_weight4_and_sum_in_cyclic_span():

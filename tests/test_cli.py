@@ -195,6 +195,29 @@ def test_readme_examples_print_their_comments(capsys):
         assert (code, out) == (0, expected + "\n"), command
 
 
+def test_readme_quick_tour_prints_its_comments():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## Quick tour\n+```python\n(.*?)^```", readme, re.M | re.S).group(1)
+    namespace: dict = {}
+    matched = []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        if code.startswith("from "):
+            exec(code, namespace)
+        elif code.strip():
+            value = str(eval(code, namespace))
+            if comment.strip().startswith(value):
+                matched.append(value)
+    assert matched == [
+        "(2, 1)",
+        "4 xxyy + 2 xyxy",
+        "xxxy + 2 xyxy",
+        "2 xxxyxxy",
+        "2 xxyxxyy + 2 xyxxyxy",
+        "1",
+    ]
+
+
 def test_eval(capsys):
     code, out = run_cli(capsys, "--format", "json", "eval", "(2)", "--cutoff", "10000")
     obj = json.loads(out)

@@ -9,7 +9,6 @@ from mzvkit.derivations import (
     derivation_D,
     derivation_Dn,
     ihara_kaneko,
-    sum_of_words,
 )
 from mzvkit.products import harmonic, shuffle
 from mzvkit.words import DomainError, Poly, all_words, word_of
@@ -151,8 +150,8 @@ def test_cyclic_on_graded_binomial_powers():
     # The coefficient of t^d is the part with d letters y (length_part).
     x, y = Poly.word("x"), Poly.word("y")
     for n in range(2, 8):
-        mu = sum_of_words(n - 1)
-        inner = sum_of_words(n - 2)
+        mu = (x + y) ** (n - 1)
+        inner = (x + y) ** (n - 2)
         for d in range(n):
             expected_c = (x * length_part(inner, d - 1) * y).scale(n - 1)
             assert cyclic_C(length_part(mu, d)) == expected_c, (n, d)

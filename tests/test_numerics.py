@@ -312,6 +312,17 @@ def test_verify_makes_one_pass_over_the_support_union(monkeypatch):
     assert len(numerics._mzv_cache) == len(union)
 
 
+def test_verify_reports_the_value_of_zeta_of_poly(monkeypatch):
+    rels = [r for w in range(2, 7) for r in generate(w)]
+    monkeypatch.setattr(numerics, "_mzv_cache", {})
+    values = [zeta_of_poly(r.element, 500) for r in rels]
+    monkeypatch.setattr(numerics, "_mzv_cache", {})
+    reports = verify(rels, cutoff=500)
+    assert [(rep.residual, rep.threshold) for rep in reports] == [
+        (abs(float(v.value)), numerics.DEFAULT_SLACK * v.tail_bound) for v in values
+    ]
+
+
 def test_inadmissible_support_raises_before_any_evaluation(monkeypatch):
     calls = _count_passes(monkeypatch)
     p = Poly({"xxy": 1, "xyx": 1})

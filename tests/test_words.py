@@ -24,13 +24,12 @@ from mzvkit.words import (
     parse_poly,
     parse_word,
     poly_from_obj,
-    tau,
     poly_to_obj,
     rotations,
     tau_word,
     word_of,
 )
-from oracles import admissible_compositions
+from oracles import admissible_compositions, dual_by_partial_sums
 
 words_st = st.text(alphabet="xy", max_size=8)
 polys_st = st.dictionaries(
@@ -110,8 +109,8 @@ def test_weight_length_examples():
 
 def test_tau_examples():
     assert tau_word("xxyxy") == "xyxyy"
-    assert tau("xxyxy") == Poly.word("xyxyy")
-    assert tau(Poly({"xy": 2, "x": -1})) == Poly({"xy": 2, "y": -1})
+    assert Poly.word("xxyxy").tau() == Poly.word("xyxyy")
+    assert Poly({"xy": 2, "x": -1}).tau() == Poly({"xy": 2, "y": -1})
     assert tau_word("") == ""
     # dual class of {(2,3),(3,2)}: tau on words realizes it
     assert composition_of(tau_word(word_of((2, 3)))) == (2, 1, 2)
@@ -187,7 +186,9 @@ def test_dual_composition_involution_and_grading():
 def test_dual_matches_tau_on_words():
     for n in range(2, 11):
         for c in admissible_compositions(n):
-            assert word_of(dual_composition(c)) == tau_word(word_of(c))
+            d = dual_by_partial_sums(c)
+            assert word_of(d) == tau_word(word_of(c))
+            assert dual_composition(c) == d
 
 
 def test_dual_of_juxtaposition_reverses():
@@ -325,6 +326,15 @@ def test_compositions_count():
         "Poly([('xy',)])",
         "Poly([1, 2])",
         "cyclic_C_pair('xy', 3)",
+        "Poly.word('xy', 0.1)",
+        "Poly({'xy': 0.5})",
+        "Poly.word('xy', True)",
+        "Poly.word('x').scale(0.5)",
+        "poly_from_obj([{'word': 'xy', 'num': 1.5, 'den': 1}])",
+        "poly_from_obj([{'word': 'xy', 'num': 1, 'den': '2'}])",
+        "poly_from_obj([{'word': 'xy', 'den': 1}])",
+        "poly_from_obj(['xy'])",
+        "poly_from_obj([{'word': 'xy', 'num': True, 'den': 1}])",
     ],
 )
 def test_non_integer_arguments_raise_domain_error(call):
