@@ -19,7 +19,6 @@ from .words import (
     format_composition,
     format_poly,
     is_admissible_composition,
-    is_admissible_word,
     is_h0_word,
     is_h1_word,
     parse_composition,

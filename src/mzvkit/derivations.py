@@ -61,7 +61,7 @@ def _apply_word(d: Derivation, w: Word) -> Poly:
 
 def derivation_D() -> Derivation:
     """The derivation with x -> 0 and y -> xy; bumps one z-index by 1."""
-    return Derivation(Poly.zero(), Poly.word(X + Y))
+    return derivation_Dn(1)
 
 
 def derivation_Dn(n: int) -> Derivation:

@@ -91,6 +91,8 @@ class EvalResult:
 
 @dataclass(frozen=True)
 class VerifyReport:
+    """residual: |truncated value|; threshold: slack * tail bound; passed: residual <= threshold."""
+
     relation: str
     residual: float
     threshold: float
@@ -117,6 +119,7 @@ def _check_composition(c: Composition) -> None:
 
 
 def mzv_tail_bound(c: Composition, cutoff: int) -> float:
+    """tail(N) of the module docstring, N = cutoff: bounds the terms with n1 > N, not rounding."""
     _check_composition(c)
     check_args(cutoff)
     l = len(c)
@@ -206,7 +209,6 @@ def _support(p: Poly) -> list:
 
 def zeta_of_poly(p: Poly, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT_DIGITS) -> EvalResult:
     """Linear extension of mzv_eval; support must be admissible (unit allowed)."""
-    check_args(cutoff, digits)
     results = mzv_eval_many(_support(p), cutoff, digits)
     total = Decimal(0)
     tail = 0.0

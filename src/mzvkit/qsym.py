@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, perm
 from typing import Mapping
 
 from .derivations import derivation_Dn, ihara_kaneko
@@ -42,11 +42,12 @@ from .words import (
     Y,
     _add_into,
     _raw,
+    all_words,
     as_poly,
     bilinear,
     check_int,
     composition_of,
-    compositions,
+    is_h1_word,
     word_of,
 )
 
@@ -81,8 +82,9 @@ def _act_word(zs: tuple, w: Word) -> Poly:
 
 def act(u, w) -> Poly:
     """Action of an element of the y-ending subalgebra on an arbitrary Poly."""
-    # composition_of raises DomainError on a term of u outside the subalgebra
-    return bilinear(lambda uw, ww: _act_word(composition_of(uw), ww), u, w)
+    # DomainError on a term of u outside the subalgebra, even when w is 0
+    zs = {uw: composition_of(uw) for uw in as_poly(u).support()}
+    return bilinear(lambda uw, ww: _act_word(zs[uw], ww), u, w)
 
 
 def power_p(n: int) -> Poly:
@@ -99,9 +101,9 @@ def elementary_e(n: int) -> Poly:
 
 @lru_cache(maxsize=None)
 def complete_h(n: int) -> Poly:
-    """Complete element: sum of all z-monomials of weight n (2^(n-1) terms)."""
+    """Complete element: sum of all z-monomials, the y-ending words, of weight n (2^(n-1) terms)."""
     check_int(n, 0, "index")
-    return Poly({word_of(c): 1 for c in compositions(n)})
+    return Poly({w: 1 for w in all_words(n) if is_h1_word(w)})
 
 
 class TruncatedSeries:
@@ -133,7 +135,7 @@ class TruncatedSeries:
     def __add__(self, other):
         self._check(other)
         return _series_sum(
-            ((k, p, 1) for s in (self, other) for k, p in s._coeffs.items()), self.order
+            ((k, p) for s in (self, other) for k, p in s._coeffs.items()), self.order
         )
 
     def __sub__(self, other):
@@ -144,7 +146,7 @@ class TruncatedSeries:
             self._check(other)
             return _series_sum(
                 (
-                    (i + j, p * q, 1)
+                    (i + j, p * q)
                     for i, p in self._coeffs.items()
                     for j, q in other._coeffs.items()
                     if i + j <= self.order
@@ -170,10 +172,10 @@ class TruncatedSeries:
 
 
 def _series_sum(terms, order: int) -> TruncatedSeries:
-    """Series whose t^k coefficient is the sum of c * p over the (k, p, c) in terms."""
+    """Series whose t^k coefficient is the sum of the p over the (k, p) in terms."""
     acc: dict = {}
-    for k, p, c in terms:
-        _add_into(acc.setdefault(k, {}), p, c)
+    for k, p in terms:
+        _add_into(acc.setdefault(k, {}), p)
     return TruncatedSeries({k: _raw(t) for k, t in acc.items()}, order)
 
 
@@ -201,7 +203,7 @@ def phi_bar_sigma(p, order: int) -> TruncatedSeries:
     """
     return _series_sum(
         (
-            (i + j, act(complete_h(j), q.tau()).tau(), 1)
+            (i + j, act(complete_h(j), q.tau()).tau())
             for i, q in sigma_t_inverse(p, order).items()
             for j in range(order - i + 1)
         ),
@@ -224,10 +226,8 @@ def _exp_graded_derivation(der_of_index, p: Poly, order: int) -> TruncatedSeries
     f = [p]
     for m in range(1, order + 1):
         acc: dict = {}
-        c = 1  # (m-1)!/(m-n)!
         for n in range(1, m + 1):
-            _add_into(acc, der_of_index(n).apply(f[m - n]), c)
-            c *= m - n
+            _add_into(acc, der_of_index(n).apply(f[m - n]), perm(m - 1, n - 1))
         f.append(_raw(acc))
     return TruncatedSeries(
         {m: fm.scale(Fraction(1, factorial(m))) for m, fm in enumerate(f)}, order

@@ -12,7 +12,7 @@ primitive integer vector in echelon form, so no rational arithmetic is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -277,7 +277,7 @@ class RankReport:
     family_ranks: dict
     cumulative_rank: int
     nullity: int
-    relation_counts: dict = field(default_factory=dict)
+    relation_counts: dict
 
 
 def rank_report(weight: int, families=FAMILIES) -> RankReport:

@@ -72,11 +72,6 @@ def is_h0_word(w: Word) -> bool:
     return w == "" or (w.startswith(X) and w.endswith(Y))
 
 
-def is_admissible_word(w: Word) -> bool:
-    """True if w is nonempty, starts with x and ends with y."""
-    return bool(w) and w.startswith(X) and w.endswith(Y)
-
-
 def h0_support(p: "Poly") -> list:
     """The support of p in graded-lex order; DomainError unless every word is admissible or the unit."""
     support = p.support()
@@ -125,34 +120,22 @@ def rotations(c: Composition) -> Iterator[Composition]:
         yield c[i:] + c[:i]
 
 
-def compositions(n: int) -> Iterator[Composition]:
-    """All 2^(n-1) compositions of n, in lexicographic order."""
-    check_int(n, 0, "weight")
-    return _compositions(n)
-
-
-def _compositions(n: int) -> Iterator[Composition]:
-    if n == 0:
-        yield ()
-        return
-    for head in range(1, n + 1):
-        for rest in _compositions(n - head):
-            yield (head,) + rest
-
-
 def all_words(n: int) -> Iterator[Word]:
     """All 2^n words of weight n, in lexicographic (x < y) order."""
     check_int(n, 0, "weight")
     return ("".join(letters) for letters in itertools.product(X + Y, repeat=n))
 
 
+def compositions(n: int) -> Iterator[Composition]:
+    """All 2^(n-1) compositions of n in lexicographic order: those of the y-ending
+    words of weight n in reverse letter order, where a larger part is a longer x-run."""
+    return map(composition_of, reversed([w for w in all_words(n) if is_h1_word(w)]))
+
+
 def admissible_words(n: int) -> list:
     """Admissible words of weight n in graded-lex order (the H0 basis)."""
-    if not _is_int(n):
-        raise DomainError(f"weight must be an integer: {n!r}")
-    if n < 2:
-        return []
-    return [X + "".join(mid) + Y for mid in itertools.product(X + Y, repeat=n - 2)]
+    check_int(n, 0, "weight")
+    return [X + m + Y for m in all_words(n - 2)] if n >= 2 else []
 
 
 def _term_key(w: Word):
@@ -181,8 +164,8 @@ class Poly:
                 except (TypeError, ValueError):
                     raise DomainError(f"not a (word, coefficient) pair: {term!r}") from None
                 _add_into(acc, Poly.word(w, c))
-        object.__setattr__(self, "_terms", acc)
-        object.__setattr__(self, "_hash", None)
+        self._terms = acc
+        self._hash = None
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -223,7 +206,7 @@ class Poly:
         h = self._hash
         if h is None:
             h = hash(frozenset(self._terms.items()))
-            object.__setattr__(self, "_hash", h)
+            self._hash = h
         return h
 
     def __add__(self, other: "Poly") -> "Poly":
@@ -298,8 +281,8 @@ def _coeff(c) -> int | Fraction:
 def _raw(terms: dict) -> Poly:
     """Wrap a dict of canonical nonzero coefficients without re-validation (internal)."""
     p = Poly.__new__(Poly)
-    object.__setattr__(p, "_terms", terms)
-    object.__setattr__(p, "_hash", None)
+    p._terms = terms
+    p._hash = None
     return p
 
 

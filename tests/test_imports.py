@@ -1,4 +1,5 @@
-"""Every name a module imports is used in that module."""
+"""Every name a module imports is used in that module, and every private
+top-level name of the package is used outside its own definition."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,41 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_private(sources: list) -> list:
+    """Private top-level names of the sources that nothing outside their own definition uses."""
+    trees = [ast.parse(source) for source in sources]
+    defined = []  # (name, the definition's nodes)
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            inside = set(map(id, ast.walk(node)))
+            private = [n for n in names if n.startswith("_") and not n.startswith("__")]
+            defined += [(name, inside) for name in private]
+    refs = [
+        (getattr(node, "id", None) or getattr(node, "attr", None) or node.name, id(node))
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    ]
+    return [name for name, inside in defined if all(r != name or i in inside for r, i in refs)]
+
+
+def test_unused_private_names_are_found():
+    sources = [
+        "__all__ = []\n_A = 1\n_B = _A\ndef _f(n):\n    return _f(n - 1)\n",
+        "from m import _g\ndef _g(): pass\nclass _C: pass\nx = _C\n",
+    ]
+    assert unused_private(sources) == ["_B", "_f"]
+
+
+def test_every_private_name_is_used():
+    package = sorted((ROOT / "src" / "mzvkit").glob("*.py"))
+    assert unused_private([p.read_text() for p in package]) == []

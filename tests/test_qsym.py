@@ -70,6 +70,9 @@ def test_act_base_cases():
     assert act(word_of((1, 1)), "y") == Poly.zero()
     with pytest.raises(DomainError):
         act("yx", "xy")
+    for u in ["x", Poly({"x": 1, "y": 1})]:  # u is checked even when there is nothing to act on
+        with pytest.raises(DomainError):
+            act(u, Poly.zero())
 
 
 def test_act_by_single_generator_is_derivation():

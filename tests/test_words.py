@@ -16,7 +16,6 @@ from mzvkit.words import (
     compositions,
     dual_composition,
     format_poly,
-    is_admissible_word,
     is_h0_word,
     is_h1_word,
     linear,
@@ -214,8 +213,6 @@ def test_membership_predicates():
             if is_h0_word(w):
                 assert is_h1_word(w)
                 assert is_h0_word(tau_word(w))
-            if is_admissible_word(w):
-                assert is_h0_word(w) and w
 
 
 def test_admissible_words_basis():
@@ -225,6 +222,10 @@ def test_admissible_words_basis():
         ws = admissible_words(n)
         assert len(ws) == 2 ** (n - 2)
         assert ws == sorted(ws)
+    for n in range(11):
+        assert admissible_words(n) == [w for w in all_words(n) if w and is_h0_word(w)]
+    with pytest.raises(DomainError):
+        admissible_words(-1)
 
 
 def test_poly_arithmetic():
@@ -303,6 +304,11 @@ def test_compositions_count():
     for n in range(1, 9):
         assert len(list(compositions(n))) == 2 ** (n - 1)
         assert len(list(admissible_compositions(n))) == (2 ** (n - 2) if n >= 2 else 0)
+    for n in range(15):
+        comps = list(compositions(n))
+        assert comps == sorted(set(comps))
+        assert all(k >= 1 for c in comps for k in c)
+        assert all(sum(c) == n for c in comps)
 
 
 @pytest.mark.parametrize(
