@@ -55,7 +55,7 @@ class Derivation:
 def _apply_word(d: Derivation, w: Word) -> Poly:
     acc: dict = {}
     for i, a in enumerate(w):  # w[:i] + v + w[i + 1 :] is injective in v
-        _add_into(acc, _raw({w[:i] + v + w[i + 1 :]: c for v, c in d.image_of(a).items()}))
+        _add_into(acc, _raw({w[:i] + v + w[i + 1 :]: c for v, c in d.image_of(a)._terms.items()}))
     return _raw(acc)
 
 

@@ -4,14 +4,14 @@ The zeta evaluation of an admissible composition (k1, ..., kl) is the partial
 sum of 1/(n1^k1 ... nl^kl) over n1 > ... > nl >= 1 with n1 <= N, computed by
 a streaming dynamic program over nested prefix sums.  The accumulator of level
 i depends only on the suffix (ki, ..., kl), so all compositions evaluated
-together share one pass over their suffix trie: O(#suffix nodes * N)
-operations, with one power 2^B // n^k per distinct exponent k per n.
-Sums are integers at scale 2^B, floored at every product and divided by 2^B
-once at the end, so a suffix of length m falls short of 2^B times its sum by
-some E >= 0.  Flooring 2^B / n^k and the product makes a step add less than
-E_i / n^k + A_i + 1 to E, with E_i and A_i <= H_N^(m-1) the shortfall and
-sum of the inner suffix (H_N the harmonic number), so by induction
-E <= m N (1 + H_N^(m-1)) <= R = m N L^m <= d N L^d, with
+together share one pass over their suffix trie.  Sums are integers at
+scale 2^B: at step n a suffix (k, inner) adds the floor of inner's sum
+over n^k, and the result is divided by 2^B once at the end, so a suffix of
+length m falls short of 2^B times its sum by some E_m >= 0.  The floor
+makes a step add less than E_(m-1) / n^k + 1 to E_m, with E_(m-1) the
+shortfall of the inner suffix, so E_m <= N + H_N E_(m-1) (H_N the
+harmonic number) and by induction E_m <= N (1 + H_N + ... + H_N^(m-1))
+<= m N (1 + H_N^(m-1)) <= R = m N L^m <= d N L^d, with
 L = 1 + bit_length(N) > H_N and d the largest depth.  A sum of depth
 l <= N and weight w is at least its term (l, ..., 1) >= d^(-w), so
 2^B > 10^(digits + guard digits) * d N L^d d^w keeps the relative error
@@ -163,28 +163,31 @@ def _suffix_pass(comps, cutoff: int, digits: int) -> tuple:
     """Bits B and 2^B times each partial sum, rounded down, from one pass over the suffix trie.
 
     acc[s] = 2^B * sum over n >= n_1 > ... > n_l >= 1 of the suffix s so far;
-    the unit () is 2^B.  Each suffix s gets acc[s] += (2^B // n^k) * acc[s[1:]]
-    >> B with k = s[0], and updating longest suffixes first reads the inner
-    value from step n - 1, which is exactly the strict inequality n_i > n_{i+1}.
-    B is chosen from the rounding term proved in the module docstring; a sum
-    with no terms stays exactly 0.
+    the unit () is 2^B.  Each suffix (k, inner) gets acc[inner] // n^k: one
+    walk per inner suffix divides q = acc[inner] by n once per k = 1, 2, ...,
+    exactly since floor(floor(a / b) / c) = floor(a / (b c)), and a divisor
+    n < 2^30 is one CPython digit.  Walking longest inner suffixes first
+    reads each inner value from step n - 1, which is exactly the strict
+    inequality n_i > n_{i+1}.  B is chosen from the rounding term proved in
+    the module docstring; a sum with no terms stays exactly 0.
     """
     d, w = max(map(len, comps)), max(map(sum, comps))
     bits = (10 ** (digits + _GUARD_DIGITS) * _rounding_term(d, cutoff) * d**w).bit_length()
-    nodes = sorted({c[i:] for c in comps for i in range(len(c))}, key=len, reverse=True)
-    row = {s: j for j, s in enumerate(nodes + [()])}
-    exps = sorted({s[0] for s in nodes})
-    links = [(j, exps.index(s[0]), row[s[1:]]) for j, s in enumerate(nodes)]
-    one = 1 << bits
-    acc = [0] * len(nodes) + [one]
-    pows = [0] * len(exps)
-    slots = range(len(exps))
+    nodes = {c[i:] for c in comps for i in range(len(c))}
+    row = {s: j for j, s in enumerate(sorted(nodes | {()}, key=len, reverse=True))}
+    walks = []  # (row of inner, row of (k, inner) or None for k = 1 .. largest k)
+    for inner in sorted({s[1:] for s in nodes}, key=len, reverse=True):
+        top = max(s[0] for s in nodes if s[1:] == inner)
+        walks.append((row[inner], [row.get((k,) + inner) for k in range(1, top + 1)]))
+    acc = [0] * len(nodes) + [1 << bits]
     steps = range(1, cutoff + 1) if nodes else ()  # the unit alone needs no pass
     for n in steps:
-        for e in slots:
-            pows[e] = one // n ** exps[e]  # in place: a fresh list per n costs more
-        for j, e, i in links:
-            acc[j] += pows[e] * acc[i] >> bits
+        for i, parents in walks:
+            q = acc[i]
+            for j in parents:
+                q //= n
+                if j is not None:
+                    acc[j] += q
     return bits, {c: acc[row[c]] for c in comps}
 
 

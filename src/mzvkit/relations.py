@@ -97,7 +97,7 @@ def gen_derivation(weight: int) -> list:
     """Difference of the basic derivation and its conjugate on admissible words."""
     d = derivation_D()
     dbar = conjugate(d)
-    pairs = ((d.apply(w) - dbar.apply(w), {"source": w}) for w in admissible_words(weight - 1))
+    pairs = ((d.apply(w) - dbar.apply(w), {"source": w}) for w in admissible_words(max(weight - 1, 0)))
     return _collect(weight, "derivation", pairs)
 
 
@@ -136,14 +136,14 @@ def gen_sum_theorem(weight: int) -> list:
 def gen_hoffman43(weight: int) -> list:
     """y sh w - y * w for admissible w; matches the derivation family up to sign."""
     y = Poly.word("y")
-    pairs = ((shuffle(y, w) - harmonic(y, w), {"source": w}) for w in admissible_words(weight - 1))
+    pairs = ((shuffle(y, w) - harmonic(y, w), {"source": w}) for w in admissible_words(max(weight - 1, 0)))
     return _collect(weight, "hoffman43", pairs)
 
 
 def gen_ihara_kaneko(n: int, weight: int) -> list:
     """Images of admissible words under the n-th antisymmetric derivation."""
     dn = ihara_kaneko(n)
-    pairs = ((dn.apply(w), {"n": n, "source": w}) for w in admissible_words(weight - n))
+    pairs = ((dn.apply(w), {"n": n, "source": w}) for w in admissible_words(max(weight - n, 0)))
     return _collect(weight, "ihara_kaneko", pairs)
 
 
@@ -152,7 +152,7 @@ def gen_ohno(n: int, weight: int) -> list:
     hn = complete_h(n)
     pairs = (
         (act(hn, Poly.word(w).tau()) - act(hn, w), {"n": n, "source": w})
-        for w in admissible_words(weight - n)
+        for w in admissible_words(max(weight - n, 0))  # no source word below weight 0
     )
     return _collect(weight, "ohno", pairs)
 
@@ -227,7 +227,7 @@ class RowSpace:
         """(p, v): the integer vector of poly, reduced until its first nonzero column p
         has no pivot; p is None when v reduces to zero."""
         entries = {}
-        for w, c in poly.items():
+        for w, c in poly._terms.items():  # no order needed
             j = self.column.get(w)
             if j is None:
                 raise DomainError(f"word outside the basis: {w!r}")

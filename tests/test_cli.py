@@ -177,6 +177,12 @@ GOLDEN["act_hn3_xyxy.txt"] = ["act", "--elem", "hn", "--n", "3", "xyxy"]
 GOLDEN["relations_w6.txt"] = ["relations", "--weight", "6"]
 GOLDEN["relations_w6.json"] = ["--format", "json", "relations", "--weight", "6"]
 GOLDEN["rank_w8.json"] = ["--format", "json", "rank", "--weight", "8"]
+GOLDEN["eval_3.txt"] = ["eval", "(3)", "--cutoff", "10000"]
+GOLDEN["eval_3.json"] = ["--format", "json", "eval", "(3)", "--cutoff", "10000"]
+# 559/5120 is a half-way point at 9 digits, so this value comes from the exact Fraction sum
+GOLDEN["eval_2111_tie.txt"] = ["eval", "(2,1,1,1)", "--cutoff", "9", "--precision", "9"]
+GOLDEN["eval_411_p40.txt"] = ["eval", "(4,1,1)", "--cutoff", "20000", "--precision", "40"]
+GOLDEN["verify_w5.txt"] = ["verify", "--weight", "5", "--cutoff", "3000"]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

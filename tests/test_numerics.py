@@ -235,6 +235,16 @@ def test_fixed_point_error_is_one_sided_and_within_the_rounding_term(cutoff, dig
             assert term <= scaled / 10 ** (digits + numerics._GUARD_DIGITS), c
 
 
+def test_exponent_gaps_between_suffixes_sharing_an_inner_one():
+    # () has parents at k = 1, 2, 7, (2,) at k = 1, 2, 5, and (1, 2) and (1,) only at k = 3 and 6
+    comps = [(7,), (2, 2), (5, 2), (3, 1, 2), (6, 1)]
+    for cutoff in range(1, 41):
+        exact = _exact_sums(comps, cutoff)
+        bits, sums = numerics._suffix_pass(comps, cutoff, 12)
+        for c in comps:
+            assert 0 <= 2**bits * exact[c] - sums[c] <= _rounding_term(c, cutoff), (c, cutoff)
+
+
 def _reference_sum(c, cutoff, digits):
     """Each composition with its own streaming loop, no suffix shared, correctly rounded.
 

@@ -97,6 +97,11 @@ def test_ihara_kaneko_family():
         gen_ihara_kaneko(0, 5)
 
 
+def test_families_without_a_source_word_are_empty():
+    # each source weight (2 - 3, 3 - 5, 0 - 1, 0 - 1) is below 0, where no word exists
+    assert gen_ihara_kaneko(3, 2) == gen_ohno(5, 3) == gen_derivation(0) == gen_hoffman43(0) == []
+
+
 def test_cyclic_family_weight4():
     rels = gen_cyclic_sum(4)
     elems = [r.element for r in rels]
