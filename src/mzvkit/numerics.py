@@ -22,6 +22,17 @@ does for a sum that is an exact tie and otherwise with probability below
 10^-(digits + guard digits), and that composition is settled by an exact
 Fraction sum.  Every value is therefore correctly rounded.
 
+The pass takes the steps for a block of n at once, in numpy int64 limbs of
+b = 63 - bit_length(N) bits.  A floor division by n is long division from
+the top limb, exact in int64 since every remainder is below n (the first
+one is the quotient's dropped top limbs, more than one limb when n >= 2^b),
+so rem * 2^b + limb < n 2^b <= 2^63; a sum over the block is a cumulative
+sum per limb followed by one carry sweep.
+The sums need few limbs: acc[s] <= 2^B H_N^m < 2^B L^m for a suffix of
+length m, so B + d log2 L + 1 bits hold every one.  The integers are those
+of a loop over n in Python ints, bit for bit.  A cutoff of 2^62 or more
+leaves no limb width and is rejected.
+
 The truncation tail of the zeta sum (the terms with n1 > N) is at most
 
     tail(N) = N^(1-k1) * sum_{j=0}^{l-1} (1 + ln N)^j / (j! (k1 - 1)^(l-j)),
@@ -77,6 +88,7 @@ DEFAULT_SLACK = 10.0
 DEFAULT_ST_CUTOFF = 10**4
 _GUARD_DIGITS = 10
 _FLOAT_NOISE = 1e-13  # rounding floor for the O(N^2) float64 summations
+_BLOCK = 2048  # values of n per block of the zeta kernel
 _LEAF = 64  # index blocks of at most this size are summed densely in the T/S series
 
 
@@ -103,8 +115,10 @@ _mzv_cache: dict = {}
 
 
 def check_args(cutoff: int, digits: int = DEFAULT_DIGITS, slack: float = DEFAULT_SLACK) -> None:
-    """Reject a cutoff or precision that is not an integer >= 1 and a negative or non-finite slack."""
-    check_int(cutoff, 1, "cutoff")
+    """Reject a cutoff or precision that is not an integer >= 1, a cutoff of 2^62 or more
+    (it leaves the zeta kernel no int64 limb width), and a negative or non-finite slack."""
+    if check_int(cutoff, 1, "cutoff") >= 1 << 62:
+        raise DomainError(f"cutoff must be below 2^62: {cutoff}")
     check_int(digits, 1, "precision")
     if not (isinstance(slack, Real) and math.isfinite(slack) and slack >= 0):
         raise DomainError(f"slack must be finite and >= 0: {slack!r}")
@@ -163,32 +177,87 @@ def _suffix_pass(comps, cutoff: int, digits: int) -> tuple:
     """Bits B and 2^B times each partial sum, rounded down, from one pass over the suffix trie.
 
     acc[s] = 2^B * sum over n >= n_1 > ... > n_l >= 1 of the suffix s so far;
-    the unit () is 2^B.  Each suffix (k, inner) gets acc[inner] // n^k: one
-    walk per inner suffix divides q = acc[inner] by n once per k = 1, 2, ...,
-    exactly since floor(floor(a / b) / c) = floor(a / (b c)), and a divisor
-    n < 2^30 is one CPython digit.  Walking longest inner suffixes first
-    reads each inner value from step n - 1, which is exactly the strict
-    inequality n_i > n_{i+1}.  B is chosen from the rounding term proved in
-    the module docstring; a sum with no terms stays exactly 0.
+    the unit () is 2^B.  At step n each suffix (k, inner) gets
+    floor(acc[inner] / n^k) from acc[inner] at step n - 1, which is exactly
+    the strict inequality n_i > n_{i+1}, by k chained floor divisions by n
+    (floor(floor(a / b) / c) = floor(a / (b c))).  The steps run _BLOCK
+    values of n at a time in int64 limbs of b = 63 - bit_length(N) bits:
+    rem * 2^b + limb < n 2^b <= 2^63 in each long division step (see
+    _descend).  Since acc[s] <= 2^B H_N^m < 2^B L^m for a suffix of length
+    m, no sum needs more than B + d log2 L + 1 bits.  B is chosen from the
+    rounding term proved in the module docstring; a sum with no terms stays
+    exactly 0.
     """
     d, w = max(map(len, comps)), max(map(sum, comps))
     bits = (10 ** (digits + _GUARD_DIGITS) * _rounding_term(d, cutoff) * d**w).bit_length()
     nodes = {c[i:] for c in comps for i in range(len(c))}
-    row = {s: j for j, s in enumerate(sorted(nodes | {()}, key=len, reverse=True))}
-    walks = []  # (row of inner, row of (k, inner) or None for k = 1 .. largest k)
-    for inner in sorted({s[1:] for s in nodes}, key=len, reverse=True):
-        top = max(s[0] for s in nodes if s[1:] == inner)
-        walks.append((row[inner], [row.get((k,) + inner) for k in range(1, top + 1)]))
-    acc = [0] * len(nodes) + [1 << bits]
-    steps = range(1, cutoff + 1) if nodes else ()  # the unit alone needs no pass
-    for n in steps:
-        for i, parents in walks:
-            q = acc[i]
-            for j in parents:
-                q //= n
-                if j is not None:
-                    acc[j] += q
-    return bits, {c: acc[row[c]] for c in comps}
+    last = dict.fromkeys(nodes, 0) | {(): 1 << bits}  # acc at the end of the last block
+    if nodes:  # the unit alone needs no pass
+        kids: dict = {}  # inner -> its suffixes (k, inner), k ascending
+        for s in sorted(nodes):
+            kids.setdefault(s[1:], []).append(s)
+        b = 63 - cutoff.bit_length()
+        unit = _limbs(1 << bits, b, _rows(1 << bits, b))[:, None]
+        for lo in range(1, cutoff + 1, _BLOCK):
+            n = np.arange(lo, min(lo + _BLOCK, cutoff + 1), dtype=np.int64)
+            _descend((), np.repeat(unit, len(n), axis=1), 1 << bits, n, kids, last, b)
+    return bits, {c: last[c] for c in comps}
+
+
+def _rows(x: int, b: int) -> int:
+    """The number of b-bit limbs that hold x >= 0."""
+    return max(1, -(-x.bit_length() // b))
+
+
+def _limbs(x: int, b: int, rows: int) -> np.ndarray:
+    """x as rows limbs of b bits, most significant first."""
+    return np.array([x >> t * b & ((1 << b) - 1) for t in reversed(range(rows))], np.int64)
+
+
+def _descend(inner, prev: np.ndarray, hi: int, n: np.ndarray, kids: dict, last: dict, b: int) -> None:
+    """Advance the suffixes below inner over the block n, from acc[inner] at each n - 1.
+
+    prev holds acc[inner] in limbs (rows, most significant first; one
+    column per n) and is overwritten; hi >= every column.  A floor division
+    by n is long division from the top limb, one divmod per limb, and a
+    quotient's rows shrink to those of its bound hi // n[0].  The dropped
+    top limbs hold a value below n, the first remainder; it spans more than
+    one limb when n >= 2^b, which a cutoff of 2^31 or more allows.  An addition
+    is a cumulative sum of each limb along the block, from acc[s] at the
+    last block's end, below (len(n) + 1) 2^b <= 2^63, and one carry sweep
+    from the bottom limb up.  The walk is depth first, so only one path of
+    block arrays is alive.
+    """
+    q, k, lo, m = prev, 0, int(n[0]), len(n)
+    rem, cur = np.empty_like(n), np.empty_like(n)
+    for s in kids[inner]:
+        for _ in range(k, s[0]):
+            hi //= lo
+            drop = len(q) - _rows(hi, b)
+            rem[:] = q[0] if drop else 0
+            for limb in q[1:drop]:  # more than one only when n >= 2^b
+                np.left_shift(rem, b, out=rem)
+                rem |= limb
+            q = q[drop:]
+            for limb in q:
+                np.left_shift(rem, b, out=cur)
+                cur |= limb
+                np.divmod(cur, n, out=(limb, rem))
+        k = s[0]
+        rows = _rows(last[s] + m * hi, b)
+        v = np.empty((rows, m + 1), np.int64)
+        v[:, 0] = _limbs(last[s], b, rows)
+        v[: rows - len(q), 1:] = 0
+        v[rows - len(q) :, 1:] = q
+        np.cumsum(v, axis=1, out=v)
+        for t in range(rows - 1, 0, -1):
+            v[t - 1] += v[t] >> b
+            v[t] &= (1 << b) - 1
+        last[s] = 0
+        for limb in v[:, -1].tolist():
+            last[s] = last[s] << b | limb
+        if s in kids:  # acc[s] is nondecreasing, so last[s] bounds every column
+            _descend(s, v[rows - _rows(last[s], b) :, :-1], last[s], n, kids, last, b)
 
 
 def _rounding_term(m: int, cutoff: int) -> int:
@@ -212,7 +281,11 @@ def _support(p: Poly) -> list:
 
 def zeta_of_poly(p: Poly, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT_DIGITS) -> EvalResult:
     """Linear extension of mzv_eval; support must be admissible (unit allowed)."""
-    results = mzv_eval_many(_support(p), cutoff, digits)
+    return _linear_value(p, mzv_eval_many(_support(p), cutoff, digits), cutoff, digits)
+
+
+def _linear_value(p: Poly, results: list, cutoff: int, digits: int) -> EvalResult:
+    """The sum of coefficient times value over p's terms, given the values in items() order."""
     total = Decimal(0)
     tail = 0.0
     with localcontext() as ctx:
@@ -346,11 +419,13 @@ def verify(
     relations = list(relations)
     if not relations:
         raise DomainError("no relations to verify")
-    # every support is checked before the one shared pass, whose memo zeta_of_poly then reads
-    mzv_eval_many({c for rel in relations for c in _support(rel.element)}, cutoff, digits)
+    # every support is checked before the one shared pass over their union
+    supports = [_support(rel.element) for rel in relations]
+    union = list({c for support in supports for c in support})
+    values = dict(zip(union, mzv_eval_many(union, cutoff, digits)))
     reports = []
-    for rel in relations:
-        r = zeta_of_poly(rel.element, cutoff, digits)
+    for rel, support in zip(relations, supports):
+        r = _linear_value(rel.element, [values[c] for c in support], cutoff, digits)
         residual = abs(float(r.value))
         threshold = slack * r.tail_bound
         reports.append(VerifyReport(rel.label(), residual, threshold, residual <= threshold))

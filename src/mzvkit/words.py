@@ -92,8 +92,11 @@ def composition_of(w: Word) -> Composition:
     """Inverse of word_of; defined only for words over {x,y} that are empty or end in y."""
     if not is_h1_word(check_word(w)):
         raise DomainError(f"word does not end in y: {w!r}")
-    if not w:
-        return ()
+    return _parts(w)
+
+
+def _parts(w: Word) -> Composition:
+    """composition_of without the checks: one part per y, 1 + the x-run before it."""
     return tuple(len(seg) + 1 for seg in w.split(Y)[:-1])
 
 
@@ -129,7 +132,8 @@ def all_words(n: int) -> Iterator[Word]:
 def compositions(n: int) -> Iterator[Composition]:
     """All 2^(n-1) compositions of n in lexicographic order: those of the y-ending
     words of weight n in reverse letter order, where a larger part is a longer x-run."""
-    return map(composition_of, reversed([w for w in all_words(n) if is_h1_word(w)]))
+    words = [w + Y for w in all_words(n - 1)] if check_int(n, 0, "weight") else [""]
+    return map(_parts, reversed(words))
 
 
 def admissible_words(n: int) -> list:

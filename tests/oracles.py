@@ -2,15 +2,17 @@
 
 Each oracle computes a map of the package by a different route: the dual
 composition on partial-sum sets, the cyclic derivations in closed z-letter
-form, the exponential of a graded derivation term by term, and exact
-elimination in Fractions.  The small helpers after them enumerate inputs
-and pick out graded parts.
+form, the exponential of a graded derivation term by term, exact
+elimination in Fractions, the zeta kernel's sums one n at a time in Python
+ints, and the compositions of n by recursion on the first part.  The small
+helpers after them enumerate inputs and pick out graded parts.
 """
 
 import itertools
 from collections import Counter
 from fractions import Fraction
 
+from mzvkit.numerics import _GUARD_DIGITS, _rounding_term
 from mzvkit.qsym import TruncatedSeries
 from mzvkit.words import Poly, composition_of, compositions, word_of
 
@@ -80,6 +82,40 @@ def reference_span(rows, probe):
         if piv is not None:
             basis.append((piv, [x / v[piv] for x in v]))
     return added, len(basis), not any(reduce(list(probe)))
+
+
+def suffix_pass_reference(comps, cutoff, digits):
+    """numerics._suffix_pass one n at a time over Python ints: the same bits B and floors.
+
+    At step n each suffix (k, inner) adds acc[inner] // n^k.  One walk per
+    inner suffix divides q = acc[inner] by n once per k = 1, 2, ..., and
+    walking longest inner suffixes first reads each inner value from step
+    n - 1.
+    """
+    d, w = max(map(len, comps)), max(map(sum, comps))
+    bits = (10 ** (digits + _GUARD_DIGITS) * _rounding_term(d, cutoff) * d**w).bit_length()
+    nodes = {c[i:] for c in comps for i in range(len(c))}
+    row = {s: j for j, s in enumerate(sorted(nodes | {()}, key=len, reverse=True))}
+    walks = []  # (row of inner, row of (k, inner) or None for k = 1 .. largest k)
+    for inner in sorted({s[1:] for s in nodes}, key=len, reverse=True):
+        top = max(s[0] for s in nodes if s[1:] == inner)
+        walks.append((row[inner], [row.get((k,) + inner) for k in range(1, top + 1)]))
+    acc = [0] * len(nodes) + [1 << bits]
+    for n in range(1, cutoff + 1):
+        for i, parents in walks:
+            q = acc[i]
+            for j in parents:
+                q //= n
+                if j is not None:
+                    acc[j] += q
+    return bits, {c: acc[row[c]] for c in comps}
+
+
+def compositions_by_recursion(n):
+    """The compositions of n in lexicographic order: each first part k, then those of n - k."""
+    if n == 0:
+        return [()]
+    return [(k,) + rest for k in range(1, n + 1) for rest in compositions_by_recursion(n - k)]
 
 
 def admissible_compositions(n):

@@ -28,7 +28,7 @@ from mzvkit.words import (
     composition_of,
     tau_word,
 )
-from oracles import admissible_compositions
+from oracles import admissible_compositions, suffix_pass_reference
 
 mpmath.mp.dps = 40
 
@@ -243,6 +243,81 @@ def test_exponent_gaps_between_suffixes_sharing_an_inner_one():
         bits, sums = numerics._suffix_pass(comps, cutoff, 12)
         for c in comps:
             assert 0 <= 2**bits * exact[c] - sums[c] <= _rounding_term(c, cutoff), (c, cutoff)
+
+
+# a deep run of 1s has the largest sums, so it fills the most limbs
+_KERNEL_CASES = [(2,), (3, 1), (7,), (2, 2), (5, 2), (3, 1, 2), (6, 1), (4, 1, 1), (2, 1, 1, 1, 1, 1)]
+
+
+@pytest.mark.parametrize("digits", [1, 30, 100])
+@pytest.mark.parametrize("cutoff", [1, 7, 8, 9, 17])
+def test_block_kernel_matches_the_per_n_loop(monkeypatch, cutoff, digits):
+    # blocks of 8: the cutoffs are block - 1, block, block + 1 and 2 block + 1;
+    # the unit and a composition longer than the cutoff give 2^B and 0
+    monkeypatch.setattr(numerics, "_BLOCK", 8)
+    comps = _KERNEL_CASES + [(), (2,) + (1,) * 9]
+    assert numerics._suffix_pass(comps, cutoff, digits) == suffix_pass_reference(comps, cutoff, digits)
+    assert numerics._suffix_pass([()], cutoff, digits) == suffix_pass_reference([()], cutoff, digits)
+
+
+def test_block_kernel_matches_the_per_n_loop_across_full_blocks():
+    # every composition of weight <= 7 shares one pass two blocks long, where
+    # the quotients drop limbs
+    comps = [c for w in range(2, 8) for c in admissible_compositions(w)]
+    cutoff = 2 * numerics._BLOCK + 1
+    assert numerics._suffix_pass(comps, cutoff, 30) == suffix_pass_reference(comps, cutoff, 30)
+
+
+@given(
+    st.lists(st.sampled_from(_KERNEL_CASES + [()]), min_size=1, max_size=5),
+    st.integers(1, 120),
+    st.integers(1, 40),
+    st.integers(1, 60),
+)
+def test_block_kernel_matches_the_per_n_loop_at_any_block(comps, cutoff, block, digits):
+    with mock.patch.object(numerics, "_BLOCK", block):
+        got = numerics._suffix_pass(comps, cutoff, digits)
+    assert got == suffix_pass_reference(comps, cutoff, digits)
+
+
+def _one_block(comps, acc, lo, m, b):
+    """acc after the steps n = lo .. lo + m - 1 of _descend in b-bit limbs, and of a per-n loop."""
+    nodes = sorted({c[i:] for c in comps for i in range(len(c))})
+    kids, last, want = {}, dict(acc), dict(acc)
+    for s in nodes:
+        kids.setdefault(s[1:], []).append(s)
+    unit = numerics._limbs(acc[()], b, numerics._rows(acc[()], b))[:, None]
+    n = np.arange(lo, lo + m, dtype=np.int64)
+    numerics._descend((), np.repeat(unit, m, axis=1), acc[()], n, kids, last, b)
+    for v in range(lo, lo + m):
+        old = dict(want)
+        for s in nodes:
+            want[s] += old[s[1:]] // v ** s[0]
+    return last, want
+
+
+def test_one_block_with_limbs_narrower_than_n():
+    # cutoff 3 * 10^9 gives 31-bit limbs and n >= 2^31, so dividing 2^B by n
+    # drops two limbs when B + 1 = 1 mod 31, and the top one is the first remainder
+    for bits in (62, 93, 124, 248):
+        acc = {(): 1 << bits, (2,): 0, (1,): 0, (2, 1): 5, (3, 1): 7}
+        last, want = _one_block([(2,), (2, 1), (3, 1)], acc, 3 * 10**9 - 40, 40, 31)
+        assert last == want and want[(1,)] > 0, bits
+
+
+@given(st.data())
+def test_one_block_matches_the_per_n_loop_at_any_limb_width(data):
+    # a cutoff of bit length L gives limbs of b = 63 - L bits; from L = 32 on
+    # an n can reach 2^b, and a quotient's dropped top limbs span more than one
+    L = data.draw(st.integers(1, 62), "bit length of the cutoff")
+    m = data.draw(st.integers(1, min(20, 2**L - 1)), "block length")
+    lo = data.draw(st.integers(max(1, 2 ** (L - 1) - m), 2**L - m), "first n")
+    comps = data.draw(st.lists(st.sampled_from(_KERNEL_CASES), min_size=1, max_size=4))
+    bits = data.draw(st.integers(0, 300), "B")
+    nodes = {c[i:] for c in comps for i in range(len(c))}
+    acc = {s: data.draw(st.integers(0, 2 ** (bits + 40))) for s in sorted(nodes)} | {(): 1 << bits}
+    last, want = _one_block(comps, acc, lo, m, 63 - L)
+    assert last == want
 
 
 def _reference_sum(c, cutoff, digits):

@@ -28,7 +28,7 @@ from mzvkit.words import (
     tau_word,
     word_of,
 )
-from oracles import admissible_compositions, dual_by_partial_sums
+from oracles import admissible_compositions, compositions_by_recursion, dual_by_partial_sums
 
 words_st = st.text(alphabet="xy", max_size=8)
 polys_st = st.dictionaries(
@@ -304,6 +304,10 @@ def test_compositions_count():
     for n in range(1, 9):
         assert len(list(compositions(n))) == 2 ** (n - 1)
         assert len(list(admissible_compositions(n))) == (2 ** (n - 2) if n >= 2 else 0)
+    for n in range(11):
+        assert list(compositions(n)) == compositions_by_recursion(n)
+    with pytest.raises(DomainError):
+        compositions(-1)
     for n in range(15):
         comps = list(compositions(n))
         assert comps == sorted(set(comps))
@@ -346,3 +350,22 @@ def test_compositions_count():
 def test_non_integer_arguments_raise_domain_error(call):
     with pytest.raises(DomainError):
         eval(call, vars(mzvkit))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "mzv_eval((2,), 2**62)",
+        "mzv_eval_many([(3,), (2, 1)], 2**63)",
+        "zeta_of_poly(Poly.word('xy'), 2**62)",
+        "verify(generate(3), 2**62)",
+        "mzv_tail_bound((2,), 2**62)",
+        "t_series_eval((2,), 2**62)",
+    ],
+)
+def test_cutoff_the_limbs_cannot_hold_raises_domain_error(call, monkeypatch):
+    # the zeta kernel's int64 limbs have 63 - bit_length(cutoff) >= 1 bits only below 2^62
+    monkeypatch.setattr(mzvkit.numerics, "_suffix_pass", None)  # a started pass is a TypeError
+    with pytest.raises(DomainError, match=r"below 2\^62"):
+        eval(call, vars(mzvkit))
+    mzvkit.numerics.check_args(2**62 - 1)
