@@ -3,8 +3,8 @@
 Subcommands cover the algebra (dual, shuffle, harmonic, derive, act, series),
 relation generation and exact ranks (relations, rank), and numerical
 evaluation and verification (eval, verify).  Output is deterministic; with
---format json it is machine-readable JSON lines.  Exit status is 0 on
-success and all-pass, 1 on domain errors or any verification failure.
+--format json it is machine-readable JSON lines.  Exit status is 1 on a
+domain error or a relation proved false at that cutoff and precision, else 0.
 """
 
 from __future__ import annotations
@@ -170,9 +170,9 @@ def _precision(args) -> int:
 
 def _cmd_verify(args, fmt):
     digits = _precision(args)
-    numerics.check_args(args.cutoff, digits, args.slack)
+    numerics.check_args(args.cutoff, digits)
     rels = relations.generate(args.weight, _families(args.families))
-    reports = numerics.verify(rels, cutoff=args.cutoff, slack=args.slack, digits=digits)
+    reports = numerics.verify(rels, cutoff=args.cutoff, digits=digits)
     code = 0 if all(rep.passed for rep in reports) else 1
     if fmt == "json":
         return [json.dumps(asdict(rep), sort_keys=True) for rep in reports], code
@@ -240,8 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("relations", _cmd_relations, "generate relation families at a weight", at_weight)
     command("rank", _cmd_rank, "exact ranks of relation spans at a weight", at_weight)
-    p = command("verify", _cmd_verify, "numerically verify relation families", at_weight, evaluated)
-    p.add_argument("--slack", type=float, default=numerics.DEFAULT_SLACK)
+    command("verify", _cmd_verify, "numerically verify relation families", at_weight, evaluated)
     p = command("eval", _cmd_eval, "evaluate one composition", evaluated)
     p.add_argument("composition")
 

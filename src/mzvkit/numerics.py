@@ -23,9 +23,8 @@ does for a sum that is an exact tie and otherwise with probability below
 Fraction sum.  Every value is therefore correctly rounded.
 
 The pass takes the steps for a block of n at once, in numpy int64 limbs of
-b = 63 - bit_length(N) bits.  A floor division by n is long division from
-the top limb, exact in int64 since every remainder is below n (the first
-one is the quotient's dropped top limbs, more than one limb when n >= 2^b),
+b = 63 - bit_length(N) bits.  A floor division by n is long division over
+every limb from the top, exact in int64 since every remainder is below n,
 so rem * 2^b + limb < n 2^b <= 2^63; a sum over the block is a cumulative
 sum per limb followed by one carry sweep.
 The sums need few limbs: acc[s] <= 2^B H_N^m < 2^B L^m for a suffix of
@@ -41,9 +40,24 @@ the integral over t > N of (1 + ln t)^(l-1) / (l-1)! * t^(-k1): the inner
 sum over n1 > n2 > ... > nl is at most H_{n1-1}^(l-1) / (l-1)!, and on
 [n1 - 1, n1] both 1 + ln t >= H_{n1-1} and t^(-k1) >= n1^(-k1), so each
 term is at most the integral over that interval.  Depth one gives the usual
-N^(1-k1) / (k1 - 1).  The bound covers truncation only, not the rounding of
-the value to the requested digits; relation verification multiplies the
-tail sum by a slack factor.
+N^(1-k1) / (k1 - 1).  mzv_eval's tail_bound is this bound: truncation only.
+
+A combination's tail_bound (zeta_of_poly, verify) adds rounding, so verify
+passes every true relation and a failure proves it false (one digit may not
+refute a false one).  Let d = digits and M = sum |c_i v_i|.  A correctly rounded
+v_i is off by at most 10^(e_i + 1 - d) / 2 <= 5 10^-d |v_i| (e_i its leading
+digit's exponent).  The sum, formed at d + 10 digits by t + 2 roundings per
+term of u = 5 10^-(d+10) relative each, is off by at most
+(t + 2) u M / (1 - (t + 2) u) <= 10^-(d+1) M for t < 10^8 terms, and its
+rounding to d digits by 5 10^-d (1 + 10^-(d+1)) M: 10.2 10^-d M in all, below
+11 10^-d M' for M' >= 0.99 M the sum of |c_i v_i| as formed.  The float64 bound
+is fsum(|c_i| tail_i, 11 10^-d M') (1 + 2^-40).  With pow and log within one
+ulp (2^-52), as in glibc, a tail_i is low by under 2^9 ulps (15 + 2j for term
+j < l <= 171, as j! overflows past that, and l / 2 to sum) and the rest by
+four: (1 - 2^-43)(1 - 2^-52)^4 (1 + 2^-40) > 1 + 2^-53 covers the residual's
+float conversion.  This assumes that no float result overflows or underflows,
+which takes a coefficient above about 2^950, or a coefficient, tail or
+10^-d M' below about 2^-950.
 
 The two auxiliary series with the coupling factor 1/(n1 - j), j the
 innermost index, do not split into prefix sums, so they are summed in
@@ -67,7 +81,6 @@ import math
 from dataclasses import dataclass
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
-from numbers import Real
 
 import numpy as np
 
@@ -84,7 +97,6 @@ from .words import (
 
 DEFAULT_CUTOFF = 10**6
 DEFAULT_DIGITS = 30
-DEFAULT_SLACK = 10.0
 DEFAULT_ST_CUTOFF = 10**4
 _GUARD_DIGITS = 10
 _FLOAT_NOISE = 1e-13  # rounding floor for the O(N^2) float64 summations
@@ -94,7 +106,8 @@ _LEAF = 64  # index blocks of at most this size are summed densely in the T/S se
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Partial sum of a nested series with its truncation metadata."""
+    """Partial sum of a nested series; tail_bound bounds its truncation (mzv_eval), its
+    distance from the infinite sum (zeta_of_poly), or estimates its tail (T/S series)."""
 
     value: Decimal
     truncation: int
@@ -103,7 +116,7 @@ class EvalResult:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """residual: |truncated value|; threshold: slack * tail bound; passed: residual <= threshold."""
+    """residual: |truncated value|; threshold: its proved tail_bound; passed: residual <= threshold."""
 
     relation: str
     residual: float
@@ -114,14 +127,12 @@ class VerifyReport:
 _mzv_cache: dict = {}
 
 
-def check_args(cutoff: int, digits: int = DEFAULT_DIGITS, slack: float = DEFAULT_SLACK) -> None:
-    """Reject a cutoff or precision that is not an integer >= 1, a cutoff of 2^62 or more
-    (it leaves the zeta kernel no int64 limb width), and a negative or non-finite slack."""
+def check_args(cutoff: int, digits: int = DEFAULT_DIGITS) -> None:
+    """Reject a cutoff or precision that is not an integer >= 1, and a cutoff of 2^62 or
+    more (it leaves the zeta kernel no int64 limb width)."""
     if check_int(cutoff, 1, "cutoff") >= 1 << 62:
         raise DomainError(f"cutoff must be below 2^62: {cutoff}")
     check_int(digits, 1, "precision")
-    if not (isinstance(slack, Real) and math.isfinite(slack) and slack >= 0):
-        raise DomainError(f"slack must be finite and >= 0: {slack!r}")
 
 
 def _check_composition(c: Composition) -> None:
@@ -181,12 +192,9 @@ def _suffix_pass(comps, cutoff: int, digits: int) -> tuple:
     floor(acc[inner] / n^k) from acc[inner] at step n - 1, which is exactly
     the strict inequality n_i > n_{i+1}, by k chained floor divisions by n
     (floor(floor(a / b) / c) = floor(a / (b c))).  The steps run _BLOCK
-    values of n at a time in int64 limbs of b = 63 - bit_length(N) bits:
-    rem * 2^b + limb < n 2^b <= 2^63 in each long division step (see
-    _descend).  Since acc[s] <= 2^B H_N^m < 2^B L^m for a suffix of length
-    m, no sum needs more than B + d log2 L + 1 bits.  B is chosen from the
-    rounding term proved in the module docstring; a sum with no terms stays
-    exactly 0.
+    values of n at a time in int64 limbs of b = 63 - bit_length(N) bits (see
+    _descend; the module docstring bounds the limbs and proves the rounding
+    term that B is chosen from).  A sum with no terms stays exactly 0.
     """
     d, w = max(map(len, comps)), max(map(sum, comps))
     bits = (10 ** (digits + _GUARD_DIGITS) * _rounding_term(d, cutoff) * d**w).bit_length()
@@ -219,10 +227,8 @@ def _descend(inner, prev: np.ndarray, hi: int, n: np.ndarray, kids: dict, last: 
 
     prev holds acc[inner] in limbs (rows, most significant first; one
     column per n) and is overwritten; hi >= every column.  A floor division
-    by n is long division from the top limb, one divmod per limb, and a
-    quotient's rows shrink to those of its bound hi // n[0].  The dropped
-    top limbs hold a value below n, the first remainder; it spans more than
-    one limb when n >= 2^b, which a cutoff of 2^31 or more allows.  An addition
+    by n is long division over every limb from the top, one divmod per limb,
+    and then a quotient's rows shrink to those of its bound hi // n[0].  An addition
     is a cumulative sum of each limb along the block, from acc[s] at the
     last block's end, below (len(n) + 1) 2^b <= 2^63, and one carry sweep
     from the bottom limb up.  The walk is depth first, so only one path of
@@ -232,17 +238,13 @@ def _descend(inner, prev: np.ndarray, hi: int, n: np.ndarray, kids: dict, last: 
     rem, cur = np.empty_like(n), np.empty_like(n)
     for s in kids[inner]:
         for _ in range(k, s[0]):
-            hi //= lo
-            drop = len(q) - _rows(hi, b)
-            rem[:] = q[0] if drop else 0
-            for limb in q[1:drop]:  # more than one only when n >= 2^b
-                np.left_shift(rem, b, out=rem)
-                rem |= limb
-            q = q[drop:]
+            rem[:] = 0
             for limb in q:
                 np.left_shift(rem, b, out=cur)
                 cur |= limb
                 np.divmod(cur, n, out=(limb, rem))
+            hi //= lo
+            q = q[len(q) - _rows(hi, b) :]
         k = s[0]
         rows = _rows(last[s] + m * hi, b)
         v = np.empty((rows, m + 1), np.int64)
@@ -280,22 +282,26 @@ def _support(p: Poly) -> list:
 
 
 def zeta_of_poly(p: Poly, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT_DIGITS) -> EvalResult:
-    """Linear extension of mzv_eval; support must be admissible (unit allowed)."""
+    """Linear extension of mzv_eval; support must be admissible (unit allowed).  tail_bound
+    bounds the distance from the infinite sum, rounding included (module docstring)."""
     return _linear_value(p, mzv_eval_many(_support(p), cutoff, digits), cutoff, digits)
 
 
 def _linear_value(p: Poly, results: list, cutoff: int, digits: int) -> EvalResult:
     """The sum of coefficient times value over p's terms, given the values in items() order."""
-    total = Decimal(0)
-    tail = 0.0
+    total = magnitude = Decimal(0)
+    bounds = []
     with localcontext() as ctx:
         ctx.prec = digits + _GUARD_DIGITS
         for (_, coeff), r in zip(p.items(), results):
-            total += Decimal(coeff.numerator) / Decimal(coeff.denominator) * r.value
-            tail += abs(float(coeff)) * r.tail_bound
+            term = Decimal(coeff.numerator) / Decimal(coeff.denominator) * r.value
+            total += term
+            magnitude += abs(term)
+            bounds.append(abs(float(coeff)) * r.tail_bound)
+        bounds.append(float(11 * magnitude.scaleb(-digits)))  # the rounding term
     with localcontext() as ctx:
         ctx.prec = digits
-        return EvalResult(+total, cutoff, tail)
+        return EvalResult(+total, cutoff, math.fsum(bounds) * (1 + 2**-40))
 
 
 def _check_series_args(c: Composition, k_last: int, cutoff: int) -> None:
@@ -405,17 +411,10 @@ def s_series_eval(c: Composition, k_last: int, cutoff: int = DEFAULT_ST_CUTOFF) 
     return _chain_sum(c, _inv_powers(cutoff - 1, k_last), cutoff)
 
 
-def verify(
-    relations,
-    cutoff: int = DEFAULT_CUTOFF,
-    slack: float = DEFAULT_SLACK,
-    digits: int = DEFAULT_DIGITS,
-) -> list:
-    """Evaluate each relation element; pass iff |residual| <= slack * tail sum.
-
-    No relations at all is an error rather than a vacuous pass.
-    """
-    check_args(cutoff, digits, slack)
+def verify(relations, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT_DIGITS) -> list:
+    """Evaluate each relation element; pass iff |residual| <= its proved tail_bound, so a
+    failure proves the relation false.  No relations at all is an error, not a vacuous pass."""
+    check_args(cutoff, digits)
     relations = list(relations)
     if not relations:
         raise DomainError("no relations to verify")
@@ -427,6 +426,5 @@ def verify(
     for rel, support in zip(relations, supports):
         r = _linear_value(rel.element, [values[c] for c in support], cutoff, digits)
         residual = abs(float(r.value))
-        threshold = slack * r.tail_bound
-        reports.append(VerifyReport(rel.label(), residual, threshold, residual <= threshold))
+        reports.append(VerifyReport(rel.label(), residual, r.tail_bound, residual <= r.tail_bound))
     return reports

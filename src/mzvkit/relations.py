@@ -199,9 +199,10 @@ def _check_families(weight: int, families) -> tuple:
 
 
 def generate(weight: int, families=FAMILIES) -> list:
-    """All relations of the requested families at one weight, deduplicated globally."""
+    """All relations of the requested families at one weight, each family generated once and
+    deduplicated on its own: families with equal elements (derivation, hoffman43) keep both."""
     out: dict = {}
-    for family in _check_families(weight, families):
+    for family in dict.fromkeys(_check_families(weight, families)):
         for r in FAMILIES[family](weight):
             out.setdefault((r.family, r.element), r)
     return list(out.values())

@@ -203,13 +203,13 @@ def test_a07_depth_two_identity_high_cutoff_timed():
 
 def test_a08_all_families_verify_at_weight7_and_corrupted_fails():
     rels = [r for weight in range(2, 8) for r in generate(weight, FAMILIES)]
-    reports = numerics.verify(rels, cutoff=FULL_CUTOFF, slack=SLACK, digits=DIGITS)
+    reports = numerics.verify(rels, cutoff=FULL_CUTOFF, digits=DIGITS)
     failures = [rep for rep in reports if not rep.passed]
     assert reports and not failures, failures[:5]
     corrupted = Relation(
         Poly({"xxy": 2, "xyy": -1}), 3, "duality", (("source", "xxy"),)
     )
-    (bad,) = numerics.verify([corrupted], cutoff=FULL_CUTOFF, slack=SLACK, digits=DIGITS)
+    (bad,) = numerics.verify([corrupted], cutoff=FULL_CUTOFF, digits=DIGITS)
     assert not bad.passed
     report(
         "A08",

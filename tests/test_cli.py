@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import shlex
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from mzvkit import relations
-from mzvkit.cli import _ACT_ELEMS, _DERIVE_OPS, _PRODUCTS, _SERIES_OPS, main
+from mzvkit.cli import _ACT_ELEMS, _DERIVE_OPS, _PRODUCTS, _SERIES_OPS, build_parser, main
 from mzvkit.words import Poly, poly_from_obj
 
 
@@ -114,11 +115,15 @@ def test_verify_exit_codes(capsys):
     assert code == 0
     reports = [json.loads(line) for line in out.strip().splitlines()]
     assert reports and all(r["passed"] for r in reports)
-    # starving the threshold makes the same residuals fail
-    code, _ = run_cli(
-        capsys, "verify", "--weight", "3", "--cutoff", "20000", "--slack", "1e-9"
-    )
+
+
+def test_verify_exits_1_on_a_false_relation(monkeypatch, capsys):
+    # 2 zeta(3) - zeta(2,1) = zeta(3) is far from 0 at any cutoff
+    corrupted = relations.Relation(Poly({"xxy": 2, "xyy": -1}), 3, "duality", (("source", "xxy"),))
+    monkeypatch.setattr(relations, "generate", lambda *args: [corrupted])
+    code, out = run_cli(capsys, "verify", "--weight", "3", "--cutoff", "20000")
     assert code == 1
+    assert out.startswith("FAIL duality[w=3; source=xxy] residual=")
 
 
 @pytest.mark.parametrize(
@@ -130,7 +135,6 @@ def test_verify_exit_codes(capsys):
         ["verify", "--weight", "1"],  # no relation exists: not a vacuous pass
         ["verify", "--weight", "4", "--families", ","],
         ["relations", "--weight", "-3"],
-        ["verify", "--weight", "3", "--cutoff", "100", "--slack", "-1"],
         ["--out", f"{__file__}/out.txt", "eval", "(2)", "--cutoff", "10"],  # not a directory
         ["MZV_PRECISION=abc", "eval", "(2)"],
     ],
@@ -147,7 +151,7 @@ def test_out_of_domain_arguments_are_errors(monkeypatch, capsys, argv):
     assert captured.err.startswith("error: ")
 
 
-@pytest.mark.parametrize("bad", [["--slack", "-1"], ["--cutoff", "0"], ["--precision", "0"]])
+@pytest.mark.parametrize("bad", [["--cutoff", "0"], ["--precision", "0"]])
 def test_verify_checks_arguments_before_generating(monkeypatch, capsys, bad):
     def generate(*args, **kwargs):
         raise AssertionError("relations generated before the arguments were checked")
@@ -222,6 +226,23 @@ def test_readme_quick_tour_prints_its_comments():
         "2 xxyxxyy + 2 xyxxyxy",
         "1",
     ]
+
+
+def test_readme_agrees_with_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = re.findall(r"^mzv (.*?)(?:\s+#.*)?$", readme, re.M) + re.findall(r"`mzv ([^`]*)`", readme)
+    assert len(examples) >= 10
+    for example in examples:
+        try:
+            build_parser().parse_args(shlex.split(example))
+        except SystemExit:
+            pytest.fail(f"README example does not parse: mzv {example}")
+    top = build_parser()
+    (sub,) = [a for a in top._actions if isinstance(a, argparse._SubParsersAction)]
+    defined = {o for p in (top, *sub.choices.values()) for a in p._actions for o in a.option_strings}
+    prose = "\n".join(line for line in readme.splitlines() if not re.search(r"\b(pip|pytest)\b", line))
+    options = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", prose))
+    assert "--cutoff" in options and options <= defined, options - defined
 
 
 def test_eval(capsys):

@@ -404,8 +404,15 @@ def test_verify_reports_the_value_of_zeta_of_poly(monkeypatch):
     monkeypatch.setattr(numerics, "_mzv_cache", {})
     reports = verify(rels, cutoff=500)
     assert [(rep.residual, rep.threshold) for rep in reports] == [
-        (abs(float(v.value)), numerics.DEFAULT_SLACK * v.tail_bound) for v in values
+        (abs(float(v.value)), v.tail_bound) for v in values
     ]
+
+
+@pytest.mark.parametrize("digits", [3, 5, 8, 12])
+def test_true_relations_pass_at_any_precision(digits):
+    # the threshold covers the rounding of the values, not only the truncation tails
+    reports = verify([r for w in range(2, 7) for r in generate(w)], cutoff=10**5, digits=digits)
+    assert [rep for rep in reports if not rep.passed] == []
 
 
 def test_inadmissible_support_raises_before_any_evaluation(monkeypatch):
@@ -417,7 +424,7 @@ def test_inadmissible_support_raises_before_any_evaluation(monkeypatch):
     with pytest.raises(DomainError):
         verify(generate(3) + [bad], cutoff=200)
     with pytest.raises(DomainError):
-        verify(generate(3), 100, slack="1")
+        verify(generate(3), 100, digits=0)
     assert calls == [] and numerics._mzv_cache == {}
 
 
