@@ -55,24 +55,22 @@ is fsum(|c_i| tail_i, 11 10^-d M') (1 + 2^-40).  With pow and log within one
 ulp (2^-52), as in glibc, a tail_i is low by under 2^9 ulps (15 + 2j for term
 j < l <= 171, as j! overflows past that, and l / 2 to sum) and the rest by
 four: (1 - 2^-43)(1 - 2^-52)^4 (1 + 2^-40) > 1 + 2^-53 covers the residual's
-float conversion.  This assumes that no float result overflows or underflows,
-which takes a coefficient above about 2^950, or a coefficient, tail or
-10^-d M' below about 2^-950.
+float conversion.  A coefficient outside [2^-950, 2^950] in size is rejected
+(each tail is below e, so no sum of fewer than 10^8 terms overflows); the
+bound assumes that no tail or 10^-d M' falls below about 2^-950.
 
 The two auxiliary series with the coupling factor 1/(n1 - j), j the
 innermost index, do not split into prefix sums, so they are summed in
-float64 over the (j, n1) pairs, at an independently capped cutoff, by divide
-and conquer over the index range [0, N].  For j < mid <= n1 the chain
-n1 > n2 > ... > nl > j has its first i inner indices in [mid, n1) and the
-rest in (j, mid) for exactly one i (Chen's split of an iterated sum at a
-point), so its inner sum is sum_i U_i(n1) D_i(j) with U_i and D_i sums
-inside one half each, and the cross terms are one convolution with
-1 / (n1 - j) per i.  The halves recurse down to small blocks summed densely.
-Every summand is nonnegative, so nothing cancels.  The first split is at
-N // 2 + 1, so the sum at N // 2 is the sum of the left half, bit for bit
-what a run at N // 2 returns; the tail is estimated from that half-cutoff
-refinement plus a small absolute floor covering float64 accumulation noise
-across the O(N^2) terms.
+float64 over the (j, n1) pairs, at an independently capped cutoff, over a
+power-of-two tree on the index range (see _chain_sum).  Each pair lies in
+the one block that has j in its lower half and n1 in its upper half; there
+Chen's split of the chain at the block's midpoint makes the sum over j one
+convolution with 1 / (n1 - j) per depth, and each level of the tree takes
+all its blocks at once.  Every summand is nonnegative, so nothing cancels.
+The terms are gathered by n1, so the sum at N // 2 is a prefix of the same
+sum, bit for bit what a run at N // 2 returns; the tail is estimated from
+that half-cutoff refinement plus a small absolute floor covering float64
+accumulation noise across the O(N^2) terms.
 """
 
 from __future__ import annotations
@@ -101,7 +99,7 @@ DEFAULT_ST_CUTOFF = 10**4
 _GUARD_DIGITS = 10
 _FLOAT_NOISE = 1e-13  # rounding floor for the O(N^2) float64 summations
 _BLOCK = 2048  # values of n per block of the zeta kernel
-_LEAF = 64  # index blocks of at most this size are summed densely in the T/S series
+_SMALL_BLOCK = 32  # T/S tree levels with half blocks up to this size convolve in one call
 
 
 @dataclass(frozen=True)
@@ -151,7 +149,10 @@ def mzv_tail_bound(c: Composition, cutoff: int) -> float:
     if l == 0:
         return 0.0
     a, log_n = c[0] - 1.0, 1.0 + math.log(cutoff)
-    return sum(cutoff**-a * log_n**j / (math.factorial(j) * a ** (l - j)) for j in range(l))
+    try:
+        return sum(cutoff**-a * log_n**j / (math.factorial(j) * a ** (l - j)) for j in range(l))
+    except OverflowError:
+        raise DomainError(f"tail bound out of float range (depth <= 171, no over- or underflow): {c}") from None
 
 
 def mzv_eval(c: Composition, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT_DIGITS) -> EvalResult:
@@ -171,6 +172,7 @@ def mzv_eval_many(comps, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT_DIG
         _check_composition(c)
     check_args(cutoff, digits)
     todo = {c for c in comps if (c, cutoff, digits) not in _mzv_cache}
+    tails = {c: mzv_tail_bound(c, cutoff) for c in todo}  # out of float range: raises before the pass
     if todo:
         bits, sums = _suffix_pass(todo, cutoff, digits)
         ctx = Context(prec=digits)
@@ -180,7 +182,7 @@ def mzv_eval_many(comps, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT_DIG
             if value != ctx.divide(s + _rounding_term(len(c), cutoff), 1 << bits):
                 exact = _exact_sum(c, cutoff)  # a half-way point lies in the enclosure
                 value = ctx.divide(exact.numerator, exact.denominator)
-            _mzv_cache[(c, cutoff, digits)] = EvalResult(value, cutoff, mzv_tail_bound(c, cutoff))
+            _mzv_cache[(c, cutoff, digits)] = EvalResult(value, cutoff, tails[c])
     return [_mzv_cache[(c, cutoff, digits)] for c in comps]
 
 
@@ -277,7 +279,11 @@ def _exact_sum(c: Composition, cutoff: int) -> Fraction:
 
 
 def _support(p: Poly) -> list:
-    """Compositions of p's words in items() order; every word must be admissible or empty."""
+    """Compositions of p's words in items() order; every word must be admissible or empty,
+    and every coefficient within [2^-950, 2^950] in size (the float bound's range)."""
+    for _, coeff in p.items():
+        if not 2.0**-950 <= abs(coeff) <= 2.0**950:
+            raise DomainError(f"coefficient outside [2^-950, 2^950] in size: {coeff}")
     return [composition_of(w) for w in h0_support(p)]
 
 
@@ -323,77 +329,68 @@ def _inv_powers(N: int, k: int) -> np.ndarray:
 def _chain_sum(c: Composition, w: np.ndarray, N: int) -> EvalResult:
     """Partial sum over N >= n1 > ... > nl > j >= 0 of w[j] / (n1^k1 ... nl^kl (n1 - j)).
 
-    Divide and conquer over the index range [0, N] (see _block): the terms
-    with j and n1 on one side of a split point mid recurse into that half,
-    and for j < mid <= n1 the inner sum Q(j, n1) over n1 > n2 > ... > nl > j
-    splits as sum_{i<l} U_i(n1) D_i(j), each factor a sum inside one half
-    (Chen's split of an iterated sum at a point; see _cross).  Every summand is
-    nonnegative (w >= 0), so nothing cancels.  The first split is at
-    N // 2 + 1, so the sum at N // 2 is the sum of the left half, bit for bit
-    what a run at N // 2 returns.  The tail estimate is the change from that
-    half sum (0.0 when N // 2 is 0), doubled for safety, plus the float64
-    noise floor: an empirical figure, not a certified bound.
+    Level h of the tree on [0, P), P the least power of two above N, sums
+    the pairs with j in the lower and n1 in the upper half of a block
+    [lo, lo + 2h), as (blocks, h) rows: there Q(j, n1), the sum over
+    n1 > n2 > ... > nl > j, is sum_i U_i(n1) D_i(j), the first i inner
+    indices in [lo + h, n1) and the rest in (j, lo + h) (Chen's split), with
+    U_i and D_i row-wise cumulative sums.  The values at N and N // 2 sum the
+    terms gathered by n1 over n1 <= N and n1 <= N // 2.  A run at N // 2 has
+    the blocks of every level here but the top one, whose n1 all exceed
+    N // 2, and builds each entry with n1 <= N // 2 from the same data by the
+    same elementwise, row-wise and per-position steps, so it returns the half
+    value bit for bit.  The tail estimate is twice the change from it plus
+    the float64 noise floor: empirical, not a certified bound.
     """
-    pows = [_inv_powers(N, k) for k in c]
-    w = np.append(w, 0.0)  # index N is never the innermost one
-    half = _block(pows, w, 0, N // 2 + 1)
-    total = _block(pows, w, 0, N + 1, half)
+    P = 1 << N.bit_length()
+    pows = np.zeros((len(c), P))
+    pows[:, : N + 1] = [_inv_powers(N, k) for k in c]
+    w = np.append(w, np.zeros(P - len(w)))  # w[j] = 0 for j >= N
+    inv_gap = np.append(0.0, 1.0 / np.arange(1, P))
+    by_n1 = np.zeros(P)
+    h = 1
+    while h < P:
+        m = ((N - h) // (2 * h) + 1) * 2 * h  # the blocks whose upper half starts at or below N
+        blocks = pows[:, :m].reshape(len(c), -1, 2 * h)
+        low, high, w_low = blocks[:, :, :h], blocks[:, :, h:], w[:m].reshape(-1, 2 * h)[:, :h]
+        cross = 0.0
+        for i in range(len(c)):
+            up = 1.0  # U_i: n1 > n2 > ... > n_{i+1} >= lo + h
+            for a in high[i:0:-1]:
+                up = _cumsum_before(a * up)
+            down = 1.0  # D_i: lo + h > n_{i+2} > ... > nl > j
+            for a in low[i + 1 :]:
+                down = _cumsum_before((a * down)[:, ::-1])[:, ::-1]
+            cross += up * _gap_convolve(w_low * down, inv_gap, N)
+        by_n1[:m].reshape(-1, 2 * h)[:, h:] += high[0] * cross
+        h *= 2
+    total, half = float(by_n1[: N + 1].sum()), float(by_n1[: N // 2 + 1].sum())
     return EvalResult(Decimal(repr(total)), N, 2.0 * abs(total - half) + _FLOAT_NOISE)
 
 
-def _block(pows: list, w: np.ndarray, lo: int, hi: int, left: float | None = None) -> float:
-    """The terms of _chain_sum with every index in [lo, hi); left, if known, is the left half's.
-
-    A block of at most _LEAF indices is summed densely.  A larger one splits
-    at mid = (lo + hi + 1) // 2 into the terms inside each half and the cross
-    terms with j < mid <= n1 (see _cross).
-    """
-    if hi - lo <= _LEAF:
-        return _leaf(pows, w, lo, hi)
-    mid = (lo + hi + 1) // 2
-    if left is None:
-        left = _block(pows, w, lo, mid)
-    return left + _block(pows, w, mid, hi) + _cross(pows, w, lo, mid, hi)
-
-
-def _leaf(pows: list, w: np.ndarray, lo: int, hi: int) -> float:
-    """_block of a small block as a dense (n1, j) array of chain sums."""
-    s = slice(lo, hi)
-    step = np.arange(hi - lo)
-    gap = step[:, None] - step  # n1 - j
-    q = (gap > 0) * w[s]  # q[n, j] = w[j] for n > j
-    for a in reversed(pows[1:]):  # innermost index first, each new one above the last
-        q = _sum_below(a[s, None] * q)
-    # now q[n1, j] = w[j] Q(j, n1)
-    return float(pows[0][s] @ (q / np.maximum(gap, 1)).sum(axis=1))
-
-
-def _cross(pows: list, w: np.ndarray, lo: int, mid: int, hi: int) -> float:
-    """The terms of _block with lo <= j < mid <= n1 < hi.
-
-    A chain n1 > n2 > ... > nl > j has its first i inner indices in
-    [mid, n1) and the rest in (j, mid) for exactly one i < l, so
-    Q(j, n1) = sum_i U_i(n1) D_i(j), and the sum over j of
-    w[j] D_i(j) / (n1 - j) is one convolution with 1 / (n1 - j) per i.
-    """
-    below, above = slice(lo, mid), slice(mid, hi)
-    inv_gap = 1.0 / np.arange(1, hi - lo)
-    total = 0.0
-    for i in range(len(pows)):
-        up = np.ones(hi - mid)  # U_i: n1 > n2 > ... > n_{i+1} >= mid
-        for a in reversed(pows[1 : i + 1]):
-            up = _sum_below(a[above] * up)
-        down = np.ones(mid - lo)  # D_i: mid > n_{i+2} > ... > nl > j
-        for a in pows[i + 1 :]:
-            down = _sum_below((a[below] * down)[::-1])[::-1]
-        total += float(pows[0][above] @ (up * np.convolve(w[below] * down, inv_gap, "valid")))
-    return total
-
-
-def _sum_below(x: np.ndarray) -> np.ndarray:
-    """out[n] = the sum of x[m] over m < n, along the first axis."""
+def _cumsum_before(x: np.ndarray) -> np.ndarray:
+    """out[:, t] = the sum of x[:, s] over s < t."""
     out = np.zeros_like(x)
-    np.cumsum(x[:-1], axis=0, out=out[1:])
+    np.cumsum(x[:, :-1], axis=1, out=out[:, 1:])
+    return out
+
+
+def _gap_convolve(x: np.ndarray, inv_gap: np.ndarray, N: int) -> np.ndarray:
+    """out[b, t] = the sum of x[b, s] / (h + t - s) over s, for the block of size 2h at 2hb.
+
+    Small blocks share one np.convolve, laid out 2h apart so that no gap reaches
+    the next block; large ones take one each, cut at n1 = N.  Either way an
+    output is the same dot product of the same data, whatever N is."""
+    blocks, h = x.shape
+    if h <= _SMALL_BLOCK:
+        flat = np.zeros((blocks, 2 * h))
+        flat[:, :h] = x
+        out = np.convolve(flat.ravel(), inv_gap[: 2 * h], "full")[: 2 * h * blocks]
+        return out.reshape(blocks, 2 * h)[:, h:]
+    out = np.zeros_like(x)
+    for b, row in enumerate(x):
+        top = min(2 * h, N + 1 - 2 * h * b)  # n1 <= N
+        out[b, : top - h] = np.convolve(inv_gap[1:top], row, "valid")
     return out
 
 

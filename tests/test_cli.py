@@ -137,6 +137,8 @@ def test_verify_exits_1_on_a_false_relation(monkeypatch, capsys):
         ["relations", "--weight", "-3"],
         ["--out", f"{__file__}/out.txt", "eval", "(2)", "--cutoff", "10"],  # not a directory
         ["MZV_PRECISION=abc", "eval", "(2)"],
+        ["eval", "(2" + ",1" * 171 + ")", "--cutoff", "10"],  # depth 172: the tail bound overflows
+        ["eval", "(1000" + ",1" * 110 + ")", "--cutoff", "3", "--precision", "5"],
     ],
 )
 def test_out_of_domain_arguments_are_errors(monkeypatch, capsys, argv):

@@ -1,6 +1,7 @@
 from dataclasses import asdict
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
+import tracemalloc
 from unittest import mock
 
 import mpmath
@@ -502,7 +503,7 @@ def test_rotation_difference_identity():
     assert abs(lhs - rhs) <= tol
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 50, 51, 257, 1001])
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 51, 127, 128, 129, 257, 1001, 1023, 1024, 1025])
 def test_one_pass_refinement_matches_separate_runs(n):
     # the value at n // 2 taken on the way to n is what a run at n // 2 gives
     runs = [(t_series_eval, c, (), np.ones) for c in ((2,), (2, 1), (1, 2))]
@@ -545,9 +546,8 @@ def _exact_chain_sums(c, w, cutoff):
     + [((2, 1, 3), None), ((1, 3, 1, 2), 2)],
 )
 def test_chain_sum_matches_exact_recursion_across_blocks(c, k_last):
-    # cutoffs around one and two dense blocks reach the cross-block terms
-    leaf = numerics._LEAF
-    cutoffs = (leaf - 1, leaf, leaf + 1, 2 * leaf + 1, 97)
+    # cutoffs around powers of two reach every level of the index tree
+    cutoffs = (63, 64, 65, 97, 127, 128, 129, 255, 256)
     top = max(cutoffs)
     if k_last is None:  # T: innermost index j >= 0 with weight 1
         w = [Fraction(1)] * top
@@ -557,6 +557,19 @@ def test_chain_sum_matches_exact_recursion_across_blocks(c, k_last):
     for n in cutoffs:
         r = t_series_eval(c, n) if k_last is None else s_series_eval(c, k_last, n)
         assert abs(Fraction(r.value) - exact[n]) <= 1e-13 * exact[n], (c, k_last, n)
+
+
+def test_coupled_series_memory_is_linear_in_the_cutoff():
+    # one array of a few times the cutoff per depth; a batch of dense 64-wide
+    # blocks would take about 5 MiB here
+    t_series_eval((1, 3, 1, 2), 100)  # lazy imports and set-up stay outside the count
+    tracemalloc.start()
+    try:
+        t_series_eval((1, 3, 1, 2), 10**4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 def test_series_refinement_tail_estimates():

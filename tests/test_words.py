@@ -345,6 +345,9 @@ def test_compositions_count():
         "poly_from_obj([{'word': 'xy', 'den': 1}])",
         "poly_from_obj(['xy'])",
         "poly_from_obj([{'word': 'xy', 'num': True, 'den': 1}])",
+        "mzv_eval((2,) + (1,) * 171, 10)",
+        "mzv_eval((1000,) + (1,) * 110, 3, 5)",
+        "zeta_of_poly(Poly({'xy': 10**400}), 10)",
     ],
 )
 def test_non_integer_arguments_raise_domain_error(call):
