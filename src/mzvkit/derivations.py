@@ -28,6 +28,7 @@ from .words import (
     X,
     Y,
     _add_into,
+    _between,
     _raw,
     as_poly,
     check_int,
@@ -54,8 +55,8 @@ class Derivation:
 @lru_cache(maxsize=None)
 def _apply_word(d: Derivation, w: Word) -> Poly:
     acc: dict = {}
-    for i, a in enumerate(w):  # w[:i] + v + w[i + 1 :] is injective in v
-        _add_into(acc, _raw({w[:i] + v + w[i + 1 :]: c for v, c in d.image_of(a)._terms.items()}))
+    for i, a in enumerate(w):
+        _add_into(acc, _between(w[:i], d.image_of(a), w[i + 1 :]))
     return _raw(acc)
 
 

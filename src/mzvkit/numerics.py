@@ -40,7 +40,10 @@ the integral over t > N of (1 + ln t)^(l-1) / (l-1)! * t^(-k1): the inner
 sum over n1 > n2 > ... > nl is at most H_{n1-1}^(l-1) / (l-1)!, and on
 [n1 - 1, n1] both 1 + ln t >= H_{n1-1} and t^(-k1) >= n1^(-k1), so each
 term is at most the integral over that interval.  Depth one gives the usual
-N^(1-k1) / (k1 - 1).  mzv_eval's tail_bound is this bound: truncation only.
+N^(1-k1) / (k1 - 1).  mzv_eval's tail_bound is this bound, truncation only,
+or 2^-950 if that is larger.  Underflow can lower the float formula by more
+than 2^-1074 a term only where N^(1-k1) < 2^-1022, and there, as the sum is
+at most e^(1 + ln N) / (k1 - 1) <= e N < 2^64, tail(N) < 2^-958 < 2^-950.
 
 A combination's tail_bound (zeta_of_poly, verify) adds rounding, so verify
 passes every true relation and a failure proves it false (one digit may not
@@ -87,9 +90,9 @@ from .words import (
     DomainError,
     Poly,
     _is_int,
+    check_h0,
     check_int,
     composition_of,
-    h0_support,
     is_admissible_composition,
 )
 
@@ -150,9 +153,10 @@ def mzv_tail_bound(c: Composition, cutoff: int) -> float:
         return 0.0
     a, log_n = c[0] - 1.0, 1.0 + math.log(cutoff)
     try:
-        return sum(cutoff**-a * log_n**j / (math.factorial(j) * a ** (l - j)) for j in range(l))
+        bound = sum(cutoff**-a * log_n**j / (math.factorial(j) * a ** (l - j)) for j in range(l))
     except OverflowError:
-        raise DomainError(f"tail bound out of float range (depth <= 171, no over- or underflow): {c}") from None
+        raise DomainError(f"tail bound out of float range (depth <= 171, no overflow): {c}") from None
+    return max(bound, 2.0**-950)  # below that, an underflow may have lost the bound
 
 
 def mzv_eval(c: Composition, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT_DIGITS) -> EvalResult:
@@ -278,28 +282,31 @@ def _exact_sum(c: Composition, cutoff: int) -> Fraction:
     return acc[0]
 
 
-def _support(p: Poly) -> list:
-    """Compositions of p's words in items() order; every word must be admissible or empty,
-    and every coefficient within [2^-950, 2^950] in size (the float bound's range)."""
-    for _, coeff in p.items():
+def _support(p: Poly) -> tuple:
+    """Compositions and coefficients of p's terms in items() order: coefficients must be within
+    [2^-950, 2^950] in size (the float bound's range), then words admissible or the unit."""
+    items = p.items()
+    for _, coeff in items:
         if not 2.0**-950 <= abs(coeff) <= 2.0**950:
             raise DomainError(f"coefficient outside [2^-950, 2^950] in size: {coeff}")
-    return [composition_of(w) for w in h0_support(p)]
+    check_h0(p)
+    return [composition_of(w) for w, _ in items], [coeff for _, coeff in items]
 
 
 def zeta_of_poly(p: Poly, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT_DIGITS) -> EvalResult:
     """Linear extension of mzv_eval; support must be admissible (unit allowed).  tail_bound
     bounds the distance from the infinite sum, rounding included (module docstring)."""
-    return _linear_value(p, mzv_eval_many(_support(p), cutoff, digits), cutoff, digits)
+    comps, coeffs = _support(p)
+    return _linear_value(coeffs, mzv_eval_many(comps, cutoff, digits), cutoff, digits)
 
 
-def _linear_value(p: Poly, results: list, cutoff: int, digits: int) -> EvalResult:
-    """The sum of coefficient times value over p's terms, given the values in items() order."""
+def _linear_value(coeffs: list, results: list, cutoff: int, digits: int) -> EvalResult:
+    """The sum of coefficient times value, the coefficients paired with the values in order."""
     total = magnitude = Decimal(0)
     bounds = []
     with localcontext() as ctx:
         ctx.prec = digits + _GUARD_DIGITS
-        for (_, coeff), r in zip(p.items(), results):
+        for coeff, r in zip(coeffs, results):
             term = Decimal(coeff.numerator) / Decimal(coeff.denominator) * r.value
             total += term
             magnitude += abs(term)
@@ -417,11 +424,11 @@ def verify(relations, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT_DIGITS
         raise DomainError("no relations to verify")
     # every support is checked before the one shared pass over their union
     supports = [_support(rel.element) for rel in relations]
-    union = list({c for support in supports for c in support})
+    union = list({c for comps, _ in supports for c in comps})
     values = dict(zip(union, mzv_eval_many(union, cutoff, digits)))
     reports = []
-    for rel, support in zip(relations, supports):
-        r = _linear_value(rel.element, [values[c] for c in support], cutoff, digits)
+    for rel, (comps, coeffs) in zip(relations, supports):
+        r = _linear_value(coeffs, [values[c] for c in comps], cutoff, digits)
         residual = abs(float(r.value))
         reports.append(VerifyReport(rel.label(), residual, r.tail_bound, residual <= r.tail_bound))
     return reports

@@ -21,38 +21,30 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .words import Poly, Word, X, Y, _add_into, _raw, as_poly, bilinear, h0_support
+from .words import Poly, Word, X, Y, _add_into, _between, _raw, as_poly, bilinear, check_h0
 
 
 @lru_cache(maxsize=None)
 def _shuffle_words(u: Word, v: Word) -> Poly:
-    if not u:
-        return Poly.word(v)
-    if not v:
-        return Poly.word(u)
-    left = Poly.word(u[0]) * _shuffle_words(u[1:], v)
-    right = Poly.word(v[0]) * _shuffle_words(u, v[1:])
-    return left + right
+    if not u or not v:
+        return _raw({u + v: 1})
+    acc = _add_into({}, _between(u[0], _shuffle_words(u[1:], v)))
+    return _raw(_add_into(acc, _between(v[0], _shuffle_words(u, v[1:]))))
 
 
 @lru_cache(maxsize=None)
 def _harmonic_words(u: Word, v: Word) -> Poly:
-    if not u:
-        return Poly.word(v)
-    if not v:
-        return Poly.word(u)
-    if Y not in u:  # pure power of x: x^p * w = w x^p
-        return Poly.word(v + u)
+    if Y not in u:  # the unit or a pure power of x: x^p * w = w x^p
+        return _raw({v + u: 1})
     if Y not in v:
-        return Poly.word(u + v)
+        return _raw({u + v: 1})
     p = u.index(Y)  # u = x^p y u1
     q = v.index(Y)
     u1 = u[p + 1 :]
     v1 = v[q + 1 :]
-    acc = _add_into({}, Poly.word(u[: p + 1]) * _harmonic_words(u1, v))
-    _add_into(acc, Poly.word(v[: q + 1]) * _harmonic_words(u, v1))
-    _add_into(acc, Poly.word(X * (p + q + 1) + Y) * _harmonic_words(u1, v1))
-    return _raw(acc)
+    acc = _add_into({}, _between(u[: p + 1], _harmonic_words(u1, v)))
+    _add_into(acc, _between(v[: q + 1], _harmonic_words(u, v1)))
+    return _raw(_add_into(acc, _between(X * (p + q + 1) + Y, _harmonic_words(u1, v1))))
 
 
 def shuffle(u, v) -> Poly:
@@ -73,6 +65,6 @@ def double_shuffle(u, v) -> Poly:
     """
     u = as_poly(u)
     v = as_poly(v)
-    h0_support(u)
-    h0_support(v)
+    check_h0(u)
+    check_h0(v)
     return shuffle(u, v) - harmonic(u, v)

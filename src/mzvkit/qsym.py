@@ -41,6 +41,7 @@ from .words import (
     X,
     Y,
     _add_into,
+    _between,
     _raw,
     all_words,
     as_poly,
@@ -69,21 +70,19 @@ def coproduct(p) -> dict:
 @lru_cache(maxsize=None)
 def _act_word(zs: tuple, w: Word) -> Poly:
     if not zs:
-        return Poly.word(w)
+        return _raw({w: 1})
     if not w:
         return Poly.zero()
     if w[0] == X:
-        return Poly.word(X) * _act_word(zs, w[1:])
-    return (
-        Poly.word(Y) * _act_word(zs, w[1:])
-        + Poly.word(X * zs[0] + Y) * _act_word(zs[1:], w[1:])
-    )
+        return _between(X, _act_word(zs, w[1:]))
+    acc = _add_into({}, _between(Y, _act_word(zs, w[1:])))
+    return _raw(_add_into(acc, _between(X * zs[0] + Y, _act_word(zs[1:], w[1:]))))
 
 
 def act(u, w) -> Poly:
     """Action of an element of the y-ending subalgebra on an arbitrary Poly."""
     # DomainError on a term of u outside the subalgebra, even when w is 0
-    zs = {uw: composition_of(uw) for uw in as_poly(u).support()}
+    zs = {uw: composition_of(uw) for uw in as_poly(u)._terms}
     return bilinear(lambda uw, ww: _act_word(zs[uw], ww), u, w)
 
 
@@ -235,7 +234,7 @@ def _exp_graded_derivation(der_of_index, p: Poly, order: int) -> TruncatedSeries
 
 
 _dn = lru_cache(maxsize=None)(derivation_Dn)
-_partial = lru_cache(maxsize=None)(ihara_kaneko)
+_partial = lru_cache(maxsize=None, typed=True)(ihara_kaneko)  # typed, so 2.0 or True is checked
 
 
 def sigma_t_exp(p, order: int) -> TruncatedSeries:

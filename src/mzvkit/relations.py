@@ -21,19 +21,19 @@ from .derivations import (
     cyclic_C,
     cyclic_C_bar,
     derivation_D,
-    ihara_kaneko,
 )
 from .products import double_shuffle, harmonic, shuffle
-from .qsym import act, complete_h
+from .qsym import _partial, act, complete_h
 from .words import (
     DomainError,
     Poly,
     _raw,
+    _term_key,
     admissible_words,
+    check_h0,
     check_int,
     compositions,
     format_composition,
-    h0_support,
     rotations,
     word_of,
 )
@@ -57,12 +57,12 @@ def normalize(p: Poly) -> Poly:
     """Scale to integer coefficients with content 1 and positive leading term."""
     if not p:
         return p
-    items = p.items()
-    coeffs = [c for _, c in items]
-    sign = 1 if coeffs[0] > 0 else -1
+    terms = p._terms
+    coeffs = terms.values()
+    sign = 1 if terms[min(terms, key=_term_key)] > 0 else -1
     if all(type(c) is int for c in coeffs):
         content = sign * gcd(*coeffs)
-        return p if content == 1 else _raw({w: c // content for w, c in items})
+        return p if content == 1 else _raw({w: c // content for w, c in terms.items()})
     den = lcm(*(c.denominator for c in coeffs))
     return p.scale(sign * Fraction(den, gcd(*(c.numerator for c in coeffs))))
 
@@ -80,7 +80,7 @@ def _collect(weight: int, family: str, pairs) -> list:
             continue
         if element.weight() != weight:
             raise DomainError(f"relation element is not homogeneous of weight {weight}")
-        h0_support(element)
+        check_h0(element)
         element = normalize(element)
         if element not in out:
             out[element] = Relation(element, weight, family, tuple(sorted(params.items())))
@@ -142,7 +142,7 @@ def gen_hoffman43(weight: int) -> list:
 
 def gen_ihara_kaneko(n: int, weight: int) -> list:
     """Images of admissible words under the n-th antisymmetric derivation."""
-    dn = ihara_kaneko(n)
+    dn = _partial(n)
     pairs = ((dn.apply(w), {"n": n, "source": w}) for w in admissible_words(max(weight - n, 0)))
     return _collect(weight, "ihara_kaneko", pairs)
 
@@ -287,9 +287,10 @@ def rank_report(weight: int, families=FAMILIES) -> RankReport:
     The RowSpaces pivot on the basis in reverse, last graded-lex word first.
     The ranks do not depend on the order, but the cost does: at weight 11
     the largest stored row entry of the double_shuffle span falls from
-    about 1e174 to about 1e57, and the span is built about 40 times faster.
-    Why the reversed order keeps the entries small is not established.  The
-    report's basis stays in graded-lex order.
+    about 1e174 to about 1e57, and the span is built about 40 times faster,
+    mostly as the words with the most y's come first: descending depth, ties
+    reversed, halves the digits again, to 27, and ascending depth is the bad
+    order, with 150 digits.  The report's basis stays in graded-lex order.
     """
     families = _check_families(weight, families)
     basis = admissible_words(weight)

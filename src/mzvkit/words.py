@@ -12,7 +12,9 @@ A Poly is immutable after construction.
 Word maps are extended to Polys by `linear` and `bilinear`, which sum into
 one internal mutable term dict (`_add_into`) and wrap it as a Poly only when
 the sum is complete; the Poly constructor and Poly's `+`, `-` and `*` use
-the same accumulator, the only code that sums coefficients.
+the same accumulator, the only code that sums coefficients.  The memoized
+word kernels build images from sub-results by `_between` (p relabelled as
+a p b) and `_add_into`; words are validated once, where they enter, never sorted.
 Term order is graded lexicographic with x < y, which fixes all printed and
 serialized output.
 """
@@ -72,13 +74,12 @@ def is_h0_word(w: Word) -> bool:
     return w == "" or (w.startswith(X) and w.endswith(Y))
 
 
-def h0_support(p: "Poly") -> list:
-    """The support of p in graded-lex order; DomainError unless every word is admissible or the unit."""
-    support = p.support()
-    for w in support:
-        if not is_h0_word(w):
-            raise DomainError(f"word is not admissible: {w!r}")
-    return support
+def check_h0(p: "Poly") -> None:
+    """DomainError, naming the graded-lex-first such word, if a word of p is neither admissible
+    nor the unit."""
+    bad = [w for w in p._terms if not is_h0_word(w)]
+    if bad:
+        raise DomainError(f"word is not admissible: {min(bad, key=_term_key)!r}")
 
 
 def word_of(c: Composition) -> Word:
@@ -226,8 +227,7 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            # u + v is injective in v, so left factor u relabels other's terms
-            return linear(lambda u: _raw({u + v: c for v, c in other._terms.items()}), self)
+            return linear(lambda u: _between(u, other), self)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -312,28 +312,32 @@ def _add_into(acc: dict, p: Poly, c=1) -> dict:
 
 
 def linear(word_fn, p) -> Poly:
-    """Extend word_fn, a map from words to Polys, linearly to p (a Poly or a word).
-
-    A one-term p = c w gives word_fn(w) itself when c is 1, and its scaled
-    copy otherwise: the image, often a memoized one, is shared, not copied.
-    That is safe because nothing mutates a Poly's term dict once it is
-    wrapped; every accumulator passed to _add_into is a fresh dict.
-    """
-    terms = as_poly(p)._terms
-    if len(terms) == 1:
-        ((w, c),) = terms.items()
-        image = word_fn(w)
-        return image if c == 1 else image.scale(c)
-    acc: dict = {}
-    for w, c in terms.items():
-        _add_into(acc, word_fn(w), c)
-    return _raw(acc)
+    """Extend word_fn, a map from words to Polys, linearly to p (a Poly or a word)."""
+    return _combine([(word_fn(w), c) for w, c in as_poly(p)._terms.items()])
 
 
 def bilinear(word_fn, u, v) -> Poly:
     """Extend word_fn, a map from word pairs to Polys, bilinearly to u and v."""
-    v = as_poly(v)
-    return linear(lambda wu: linear(lambda wv: word_fn(wu, wv), v), u)
+    tu, tv = as_poly(u)._terms.items(), as_poly(v)._terms.items()
+    return _combine([(word_fn(wu, wv), cu * cv) for wu, cu in tu for wv, cv in tv])
+
+
+def _combine(images: list) -> Poly:
+    """The sum of c * image over the (image, c) pairs (internal).  One pair gives the image,
+    often a memoized one, itself when c is 1 and scaled otherwise: shared, not copied, which
+    is safe as no wrapped term dict is mutated; every _add_into accumulator is a fresh dict."""
+    if len(images) == 1:
+        ((image, c),) = images
+        return image if c == 1 else image.scale(c)
+    acc: dict = {}
+    for image, c in images:
+        _add_into(acc, image, c)
+    return _raw(acc)
+
+
+def _between(a: Word, p: Poly, b: Word = "") -> Poly:
+    """a p b for words a, b (internal): a + w + b is injective in w, so p's terms are relabelled."""
+    return _raw({a + w + b: c for w, c in p._terms.items()})
 
 
 # ---------------------------------------------------------------------------

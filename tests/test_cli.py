@@ -182,6 +182,9 @@ GOLDEN.update(
 GOLDEN["act_hn3_xyxy.txt"] = ["act", "--elem", "hn", "--n", "3", "xyxy"]
 GOLDEN["relations_w6.txt"] = ["relations", "--weight", "6"]
 GOLDEN["relations_w6.json"] = ["--format", "json", "relations", "--weight", "6"]
+GOLDEN["relations_w8.txt"] = ["relations", "--weight", "8"]
+GOLDEN["shuffle_xxyxy_xyxyy.txt"] = ["shuffle", "xxyxy", "xyxyy"]
+GOLDEN["harmonic_xxyxy_xyxyy.txt"] = ["harmonic", "xxyxy", "xyxyy"]
 GOLDEN["rank_w8.json"] = ["--format", "json", "rank", "--weight", "8"]
 GOLDEN["eval_3.txt"] = ["eval", "(3)", "--cutoff", "10000"]
 GOLDEN["eval_3.json"] = ["--format", "json", "eval", "(3)", "--cutoff", "10000"]

@@ -100,6 +100,13 @@ def test_tail_bound_dominates_the_true_tail(cutoff):
         assert value - mp(r.value) <= r.tail_bound, c
 
 
+def test_tail_bound_survives_float_underflow():
+    # N^(1-k1) is 0.0 for (100,) and subnormal for (80,); the true tails are about 1e-398, 1e-318
+    for c in ((100,), (80,)):
+        bound = mzv_eval(c, 10**4).tail_bound
+        assert bound > 0 and mpmath.mpf(bound) >= mpmath.zeta(c[0], 10**4 + 1), c
+
+
 def test_tail_bound_shape():
     assert mzv_tail_bound((), 100) == 0.0
     assert mzv_tail_bound((2,), 10**6) == pytest.approx(1e-6)

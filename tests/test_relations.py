@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+from mzvkit import relations
 from mzvkit.derivations import conjugate, cyclic_C, derivation_D
 from mzvkit.products import harmonic, shuffle
 from mzvkit.relations import (
@@ -93,8 +94,9 @@ def test_ihara_kaneko_family():
     rels = gen_ihara_kaneko(2, 4)
     assert len(rels) == 1
     assert rels[0].element == Poly({"xxxy": 1, "xyyy": -1})
-    with pytest.raises(DomainError):
-        gen_ihara_kaneko(0, 5)
+    for n in (0, True, 2.0):  # 1 and 2 are memoized by now: a bool or float must not hit them
+        with pytest.raises(DomainError):
+            gen_ihara_kaneko(n, 5)
 
 
 def test_families_without_a_source_word_are_empty():
@@ -204,6 +206,26 @@ def test_normalize():
     assert q == Poly({"xy": 1, "xxy": -2})
     assert normalize(Poly.zero()) == Poly.zero()
     assert normalize(Poly.word("xy", Fraction(1, 7))) == Poly.word("xy")
+
+
+@pytest.mark.parametrize(
+    "terms, expected",
+    [
+        ([("xy", Fraction(-2, 3)), ("xxy", Fraction(4, 3))], {"xy": 1, "xxy": -2}),
+        ([("xxyy", -6), ("xyxy", 2), ("xyyy", 4)], {"xxyy": 3, "xyxy": -1, "xyyy": -2}),
+    ],
+)
+def test_normalize_reads_the_sign_in_graded_lex_order(terms, expected):
+    for order in (terms, terms[::-1]):  # the term dict in and against graded-lex order
+        assert normalize(Poly(order)) == Poly(expected)
+
+
+def test_inadmissible_family_element_names_the_graded_lex_first_bad_word(monkeypatch):
+    element = Poly([("yxyy", 1), ("xyyy", 1), ("yxxy", 1), ("xxyx", 1)])
+    family = lambda weight: relations._collect(weight, "bad", [(element, {})])  # noqa: E731
+    monkeypatch.setitem(FAMILIES, "bad", family)
+    with pytest.raises(DomainError, match="'xxyx'"):
+        generate(4, ["bad"])
 
 
 def test_rowspace():
