@@ -22,9 +22,7 @@ from .words import (
     is_h0_word,
     is_h1_word,
     parse_composition,
-    parse_poly,
     parse_word,
-    poly_from_obj,
     poly_to_obj,
     tau_word,
     word_of,

@@ -90,9 +90,9 @@ from .words import (
     DomainError,
     Poly,
     _is_int,
+    _parts,
     check_h0,
     check_int,
-    composition_of,
     is_admissible_composition,
 )
 
@@ -290,7 +290,7 @@ def _support(p: Poly) -> tuple:
         if not 2.0**-950 <= abs(coeff) <= 2.0**950:
             raise DomainError(f"coefficient outside [2^-950, 2^950] in size: {coeff}")
     check_h0(p)
-    return [composition_of(w) for w, _ in items], [coeff for _, coeff in items]
+    return [_parts(w) for w, _ in items], [coeff for _, coeff in items]
 
 
 def zeta_of_poly(p: Poly, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT_DIGITS) -> EvalResult:

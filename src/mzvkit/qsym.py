@@ -16,8 +16,8 @@ The action of that algebra on arbitrary words is generated by
 and acting by z_n reproduces the derivation D_n with y -> x^n y.  `_act_word`
 is that recursion with w1 the first letter of w: u' . x = 0 unless u' = 1,
 and u' . y = 0 unless u' is 1 or one z-letter, so of the len(u) + 1 splits
-only u' = 1 and u' = z_k1, the first letter of u, survive, and the
-coproduct is never built.
+only u' = 1 and u' = z_k1, the first letter of u (its word up to the first
+y), survive, and the coproduct is never built.
 Truncated power series in a central variable t carry the induced
 automorphisms: the h-series action sigma_t, its inverse via the alternating
 e-series, and exp(sum_n t^n d_n / n) for the D_n (sigma_t again) and the
@@ -46,10 +46,9 @@ from .words import (
     all_words,
     as_poly,
     bilinear,
+    check_h1,
     check_int,
-    composition_of,
     is_h1_word,
-    word_of,
 )
 
 
@@ -57,33 +56,34 @@ def coproduct(p) -> dict:
     """Deconcatenation coproduct in z-letters as a {(u, v): coefficient} dict.
 
     The input must lie in the y-ending subalgebra.  w = u v fixes the pair, so
-    each pair takes its word's coefficient as it is.
+    each pair takes its word's coefficient as it is; the cuts fall after each y.
     """
     return {
-        (word_of(zs[:j]), word_of(zs[j:])): c
+        (w[:j], w[j:]): c
         for w, c in as_poly(p).items()
-        for zs in [composition_of(w)]  # raises DomainError outside the domain
-        for j in range(len(zs) + 1)
+        for j in [0] + [i + 1 for i, a in enumerate(check_h1(w)) if a == Y]
     }
 
 
 @lru_cache(maxsize=None)
-def _act_word(zs: tuple, w: Word) -> Poly:
-    if not zs:
+def _act_word(u: Word, w: Word) -> Poly:
+    if not u:
         return _raw({w: 1})
     if not w:
         return Poly.zero()
     if w[0] == X:
-        return _between(X, _act_word(zs, w[1:]))
-    acc = _add_into({}, _between(Y, _act_word(zs, w[1:])))
-    return _raw(_add_into(acc, _between(X * zs[0] + Y, _act_word(zs[1:], w[1:]))))
+        return _between(X, _act_word(u, w[1:]))
+    k = u.index(Y) + 1  # u = z_k u1
+    acc = _add_into({}, _between(Y, _act_word(u, w[1:])))
+    return _raw(_add_into(acc, _between(X + u[:k], _act_word(u[k:], w[1:]))))
 
 
 def act(u, w) -> Poly:
     """Action of an element of the y-ending subalgebra on an arbitrary Poly."""
-    # DomainError on a term of u outside the subalgebra, even when w is 0
-    zs = {uw: composition_of(uw) for uw in as_poly(u)._terms}
-    return bilinear(lambda uw, ww: _act_word(zs[uw], ww), u, w)
+    u = as_poly(u)
+    for uw in u._terms:  # DomainError on a term of u outside the subalgebra, even when w is 0
+        check_h1(uw)
+    return bilinear(_act_word, u, w)
 
 
 def power_p(n: int) -> Poly:
@@ -137,31 +137,21 @@ class TruncatedSeries:
             ((k, p) for s in (self, other) for k, p in s._coeffs.items()), self.order
         )
 
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
     def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._check(other)
-            return _series_sum(
-                (
-                    (i + j, p * q)
-                    for i, p in self._coeffs.items()
-                    for j, q in other._coeffs.items()
-                    if i + j <= self.order
-                ),
-                self.order,
-            )
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "TruncatedSeries":
-        return TruncatedSeries({k: p.scale(c) for k, p in self._coeffs.items()}, self.order)
+        self._check(other)
+        return _series_sum(
+            (
+                (i + j, p * q)
+                for i, p in self._coeffs.items()
+                for j, q in other._coeffs.items()
+                if i + j <= self.order
+            ),
+            self.order,
+        )
 
     def _check(self, other):
+        if not isinstance(other, TruncatedSeries):  # a scalar too: scale the coefficients instead
+            raise TypeError(f"not a TruncatedSeries: {other!r}")
         if self.order != other.order:
             raise DomainError(f"truncation orders differ: {self.order} != {other.order}")
 

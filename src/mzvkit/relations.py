@@ -185,9 +185,10 @@ FAMILIES = {
 
 
 def _check_families(weight: int, families) -> tuple:
-    """The family names as a tuple, after rejecting weight < 2, none, or an unknown one."""
+    """The family names as a tuple, each once in first-occurrence order, after rejecting
+    weight < 2, none, or an unknown one."""
     check_int(weight, 2, "weight")
-    families = tuple(families)
+    families = tuple(dict.fromkeys(families))
     if not families:
         raise DomainError("no relation family given")
     for family in families:
@@ -202,7 +203,7 @@ def generate(weight: int, families=FAMILIES) -> list:
     """All relations of the requested families at one weight, each family generated once and
     deduplicated on its own: families with equal elements (derivation, hoffman43) keep both."""
     out: dict = {}
-    for family in dict.fromkeys(_check_families(weight, families)):
+    for family in _check_families(weight, families):
         for r in FAMILIES[family](weight):
             out.setdefault((r.family, r.element), r)
     return list(out.values())

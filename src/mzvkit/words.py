@@ -74,6 +74,13 @@ def is_h0_word(w: Word) -> bool:
     return w == "" or (w.startswith(X) and w.endswith(Y))
 
 
+def check_h1(w: Word) -> Word:
+    """w itself if it is the unit or ends in y; otherwise DomainError."""
+    if not is_h1_word(w):
+        raise DomainError(f"word does not end in y: {w!r}")
+    return w
+
+
 def check_h0(p: "Poly") -> None:
     """DomainError, naming the graded-lex-first such word, if a word of p is neither admissible
     nor the unit."""
@@ -91,9 +98,7 @@ def word_of(c: Composition) -> Word:
 
 def composition_of(w: Word) -> Composition:
     """Inverse of word_of; defined only for words over {x,y} that are empty or end in y."""
-    if not is_h1_word(check_word(w)):
-        raise DomainError(f"word does not end in y: {w!r}")
-    return _parts(w)
+    return _parts(check_h1(check_word(w)))
 
 
 def _parts(w: Word) -> Composition:
@@ -116,7 +121,7 @@ def dual_composition(c: Composition) -> Composition:
     w = word_of(c)
     if not is_admissible_composition(c):
         raise DomainError(f"composition is not admissible: {c}")
-    return composition_of(tau_word(w))
+    return _parts(tau_word(w))
 
 
 def rotations(c: Composition) -> Iterator[Composition]:
@@ -192,9 +197,6 @@ class Poly:
 
     def coeff(self, w: Word) -> int | Fraction:
         return self._terms.get(w, 0)
-
-    def support(self) -> list:
-        return sorted(self._terms, key=_term_key)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -341,7 +343,7 @@ def _between(a: Word, p: Poly, b: Word = "") -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# text and JSON syntax
+# text and JSON output; word and composition input
 
 
 def format_word(w: Word) -> str:
@@ -403,49 +405,9 @@ def parse_composition(text: str) -> Composition:
     return parts
 
 
-_TERM_RE = re.compile(
-    r"\s*(?P<sign>[+-])?\s*(?:(?P<num>\d+)(?:/(?P<den>\d+))?)?\s*(?P<word>[xy]+|1)?\s*"
-)
-
-
-def _ratio(num: int, den: int) -> Fraction:
-    if not (_is_int(num) and _is_int(den) and den):
-        raise DomainError(f"not a ratio of integers with nonzero denominator: {num!r}/{den!r}")
-    return Fraction(num, den)
-
-
-def parse_poly(text: str) -> Poly:
-    """Parse the output of format_poly back into a Poly."""
-    s = text.strip()
-    if s == "0" or not s:
-        return Poly.zero()
-    terms: list = []
-    pos = 0
-    while pos < len(s):
-        m = _TERM_RE.match(s, pos)
-        if not m or m.end() == pos or (m.group("num") is None and m.group("word") is None):
-            raise DomainError(f"cannot parse poly near {s[pos:]!r}")
-        c = _ratio(int(m.group("num") or 1), int(m.group("den") or 1))
-        if m.group("sign") == "-":
-            c = -c
-        w = m.group("word") or "1"
-        terms.append(("" if w == "1" else w, c))
-        pos = m.end()
-    return Poly(terms)
-
-
 def poly_to_obj(p: Poly) -> list:
     """JSON-ready form: list of {word, num, den} in deterministic order."""
     return [
         {"word": format_word(w), "num": c.numerator, "den": c.denominator}
         for w, c in p.items()
     ]
-
-
-def poly_from_obj(obj: Iterable) -> Poly:
-    """Inverse of poly_to_obj; DomainError unless obj is a list of {word, num, den} terms."""
-    try:
-        terms = [("" if t["word"] == "1" else t["word"], _ratio(t["num"], t["den"])) for t in obj]
-    except (TypeError, KeyError):
-        raise DomainError(f"not a list of {{word, num, den}} terms: {obj!r}") from None
-    return Poly(terms)

@@ -10,7 +10,7 @@ import pytest
 
 from mzvkit import relations
 from mzvkit.cli import _ACT_ELEMS, _DERIVE_OPS, _PRODUCTS, _SERIES_OPS, build_parser, main
-from mzvkit.words import Poly, poly_from_obj
+from mzvkit.words import Poly, poly_to_obj
 
 
 def run_cli(capsys, *argv):
@@ -37,7 +37,7 @@ def test_dual_rejects_inadmissible(capsys):
 def test_shuffle_and_harmonic(capsys):
     code, out = run_cli(capsys, "--format", "json", "shuffle", "xy", "xy")
     assert code == 0
-    assert poly_from_obj(json.loads(out)) == Poly({"xyxy": 2, "xxyy": 4})
+    assert json.loads(out) == poly_to_obj(Poly({"xyxy": 2, "xxyy": 4}))
     code, out = run_cli(capsys, "harmonic", "y", "y")
     assert out.strip() == "xy + 2 yy"
 
@@ -73,15 +73,15 @@ def test_series(capsys):
     lines = [json.loads(line) for line in out.strip().splitlines()]
     assert len(lines) == 4
     assert lines[2]["degree"] == 2
-    assert poly_from_obj(lines[2]["coeff"]) == Poly.word("xxy")
+    assert lines[2]["coeff"] == poly_to_obj(Poly.word("xxy"))
 
 
 def test_relations_json(capsys):
     code, out = run_cli(capsys, "--format", "json", "relations", "--weight", "4", "--families", "cyclic")
     assert code == 0
     lines = [json.loads(line) for line in out.strip().splitlines()]
-    elements = [poly_from_obj(obj["element"]) for obj in lines]
-    assert Poly({"xxxy": 1, "xxyy": -1, "xyxy": -1}) in elements
+    elements = [obj["element"] for obj in lines]
+    assert poly_to_obj(Poly({"xxxy": 1, "xxyy": -1, "xyxy": -1})) in elements
     assert all(obj["family"] == "cyclic" and obj["weight"] == 4 for obj in lines)
 
 
@@ -180,6 +180,10 @@ GOLDEN.update(
     }
 )
 GOLDEN["act_hn3_xyxy.txt"] = ["act", "--elem", "hn", "--n", "3", "xyxy"]
+GOLDEN["act_hn3_xxyy.json"] = ["--format", "json", "act", "--elem", "hn", "--n", "3", "xxyy"]
+GOLDEN["act_word_xyy_xyxy.txt"] = ["act", "--elem", "word", "xyy", "xyxy"]
+GOLDEN["act_pn2_yxy.txt"] = ["act", "--elem", "pn", "--n", "2", "yxy"]
+GOLDEN["act_en2_xyyxy.txt"] = ["act", "--elem", "en", "--n", "2", "xyyxy"]
 GOLDEN["relations_w6.txt"] = ["relations", "--weight", "6"]
 GOLDEN["relations_w6.json"] = ["--format", "json", "relations", "--weight", "6"]
 GOLDEN["relations_w8.txt"] = ["relations", "--weight", "8"]

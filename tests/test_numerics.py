@@ -398,7 +398,7 @@ def _count_passes(monkeypatch) -> list:
 def test_verify_makes_one_pass_over_the_support_union(monkeypatch):
     calls = _count_passes(monkeypatch)
     rels = [r for w in range(2, 8) for r in generate(w)]
-    union = {composition_of(w) for r in rels for w in r.element.support()}
+    union = {composition_of(w) for r in rels for w, _ in r.element.items()}
     reports = verify(rels, cutoff=200)
     assert len(reports) == len(rels)
     assert len(calls) == 1

@@ -184,7 +184,7 @@ def test_h0_closed_under_products(product):
         for u in admissible_words(wu):
             for wv in range(2, 9 - wu):
                 for v in admissible_words(wv):
-                    assert all(is_h0_word(w) for w in product(u, v).support())
+                    assert all(is_h0_word(w) for w, _ in product(u, v).items())
 
 
 # --- double shuffle ----------------------------------------------------------

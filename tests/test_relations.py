@@ -196,7 +196,7 @@ def test_all_relations_admissible_and_homogeneous():
     for weight in range(2, 8):
         for r in generate(weight):
             assert r.element.weight() == weight
-            assert all(w != "" and is_h0_word(w) for w in r.element.support())
+            assert all(w != "" and is_h0_word(w) for w, _ in r.element.items())
 
 
 def test_normalize():
@@ -356,6 +356,15 @@ def test_rank_weight3_duality_only():
     assert rep.basis == ["xxy", "xyy"]
     assert rep.cumulative_rank == 1
     assert rep.nullity == 1
+
+
+def test_rank_report_generates_a_repeated_family_once(monkeypatch):
+    calls = []
+    gen = FAMILIES["sum"]
+    monkeypatch.setitem(FAMILIES, "sum", lambda weight: calls.append(weight) or gen(weight))
+    rep = rank_report(5, ["sum", "sum"])
+    assert calls == [5]
+    assert rep.family_ranks == {"sum": 3} and rep.relation_counts == {"sum": 3}
 
 
 def test_rank_weight4_all_families():

