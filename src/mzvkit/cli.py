@@ -67,7 +67,7 @@ _PRODUCTS = {"shuffle": shuffle, "harmonic": harmonic}
 
 
 def _cmd_product(args, fmt):
-    p = _PRODUCTS[args.command](Poly.word(parse_word(args.u)), Poly.word(parse_word(args.v)))
+    p = _PRODUCTS[args.command](parse_word(args.u), parse_word(args.v))
     return [_poly_out(p, fmt)], 0
 
 
@@ -92,20 +92,18 @@ _ACT_ELEMS = {"pn": qsym.power_p, "en": qsym.elementary_e, "hn": qsym.complete_h
 
 
 def _cmd_act(args, fmt):
+    *actor, target = args.words
     if args.elem == "word":
-        if len(args.words) != 2:
+        if len(actor) != 1:
             raise DomainError("act --elem word needs two word arguments: actor target")
-        u = Poly.word(parse_word(args.words[0]))
-        target = args.words[1]
+        u = parse_word(actor[0])
     else:
         if args.n is None:
             raise DomainError(f"act --elem {'/'.join(_ACT_ELEMS)} requires --n")
-        if len(args.words) != 1:
+        if actor:
             raise DomainError("act needs one target word")
         u = _ACT_ELEMS[args.elem](args.n)
-        target = args.words[0]
-    p = qsym.act(u, Poly.word(parse_word(target)))
-    return [_poly_out(p, fmt)], 0
+    return [_poly_out(qsym.act(u, parse_word(target)), fmt)], 0
 
 
 # series --op name -> t-series map of (word, --order)
@@ -113,7 +111,7 @@ _SERIES_OPS = {"sigma": qsym.sigma_t, "exp-partial": qsym.exp_partial_t, "phi": 
 
 
 def _cmd_series(args, fmt):
-    series = _SERIES_OPS[args.op](Poly.word(parse_word(args.word)), args.order)
+    series = _SERIES_OPS[args.op](parse_word(args.word), args.order)
     lines = []
     for k in range(args.order + 1):
         coeff = series.coeff(k)
@@ -251,12 +249,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         lines, code = args.run(args, args.format)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
         _emit(lines, args.out)
-    except OSError as exc:  # e.g. --out in a missing directory
+    except (DomainError, OSError) as exc:  # OSError: e.g. --out in a missing directory
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return code

@@ -44,9 +44,6 @@ class Derivation:
     image_of_x: Poly
     image_of_y: Poly
 
-    def image_of(self, letter: str) -> Poly:
-        return self.image_of_x if letter == X else self.image_of_y
-
     def apply(self, p) -> Poly:
         """Leibniz extension over each word, linear over terms."""
         return linear(partial(_apply_word, self), p)
@@ -56,7 +53,7 @@ class Derivation:
 def _apply_word(d: Derivation, w: Word) -> Poly:
     acc: dict = {}
     for i, a in enumerate(w):
-        _add_into(acc, _between(w[:i], d.image_of(a), w[i + 1 :]))
+        _add_into(acc, _between(w[:i], d.image_of_x if a == X else d.image_of_y, w[i + 1 :]))
     return _raw(acc)
 
 

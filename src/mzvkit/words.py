@@ -157,8 +157,7 @@ class Poly:
 
     Immutable by convention: no method mutates self, so values can be cached
     and shared freely.  `+`, `-` are linear; `*` is the concatenation product
-    of the word algebra when both factors are Poly, and scalar multiplication
-    when one factor is an int or Fraction.
+    of the word algebra; `scale` multiplies by a rational.
     """
 
     __slots__ = ("_terms", "_hash")
@@ -227,17 +226,10 @@ class Poly:
     def __neg__(self) -> "Poly":
         return _raw({w: -c for w, c in self._terms.items()})
 
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            return linear(lambda u: _between(u, other), self)
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+    def __mul__(self, other: "Poly") -> "Poly":
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return linear(lambda u: _between(u, other), self)
 
     def __pow__(self, n: int) -> "Poly":
         check_int(n, 0, "exponent")

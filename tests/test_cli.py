@@ -132,9 +132,13 @@ def test_verify_exits_1_on_a_false_relation(monkeypatch, capsys):
         ["eval", "(2)", "--cutoff", "0"],
         ["eval", "(2)", "--cutoff", "-5"],
         ["eval", "(2)", "--precision", "0"],
-        ["verify", "--weight", "1"],  # no relation exists: not a vacuous pass
+        ["verify", "--weight", "1"],  # below the least weight with admissible words
+        ["verify", "--weight", "2"],  # no relation exists: not a vacuous pass
         ["verify", "--weight", "4", "--families", ","],
         ["relations", "--weight", "-3"],
+        ["act", "--elem", "word", "xy"],  # no target
+        ["act", "--elem", "hn", "--n", "2", "xy", "yx"],  # two targets
+        ["eval", "abc"],
         ["--out", f"{__file__}/out.txt", "eval", "(2)", "--cutoff", "10"],  # not a directory
         ["MZV_PRECISION=abc", "eval", "(2)"],
         ["eval", "(2" + ",1" * 171 + ")", "--cutoff", "10"],  # depth 172: the tail bound overflows
@@ -190,6 +194,7 @@ GOLDEN["relations_w8.txt"] = ["relations", "--weight", "8"]
 GOLDEN["shuffle_xxyxy_xyxyy.txt"] = ["shuffle", "xxyxy", "xyxyy"]
 GOLDEN["harmonic_xxyxy_xyxyy.txt"] = ["harmonic", "xxyxy", "xyxyy"]
 GOLDEN["rank_w8.json"] = ["--format", "json", "rank", "--weight", "8"]
+GOLDEN["rank_w6.txt"] = ["rank", "--weight", "6"]
 GOLDEN["eval_3.txt"] = ["eval", "(3)", "--cutoff", "10000"]
 GOLDEN["eval_3.json"] = ["--format", "json", "eval", "(3)", "--cutoff", "10000"]
 # 559/5120 is a half-way point at 9 digits, so this value comes from the exact Fraction sum

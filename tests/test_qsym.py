@@ -78,6 +78,24 @@ def test_act_base_cases():
         act(Poly({"xy": 1, "yx": 1}), Poly.zero())
 
 
+def test_act_obeys_its_defining_law():
+    # u . (w1 w2) = sum over coproduct(u) of (u' . w1)(u'' . w2): checks the recursion's
+    # shortcut, which computes only the splits u' = 1 and u' = the first z-letter of u
+    cases = 0
+    for a in range(5):
+        for u in h1_words(a):
+            for n in range(4):
+                for w in all_words(n):
+                    for i in range(n + 1):
+                        w1, w2 = w[:i], w[i:]
+                        expected = Poly.zero()
+                        for (u1, u2), c in coproduct(u).items():
+                            expected = expected + (act(u1, w1) * act(u2, w2)).scale(c)
+                        assert act(u, w) == expected, (u, w1, w2)
+                        cases += 1
+    assert cases == 784
+
+
 def test_act_by_single_generator_is_derivation():
     for n in range(1, 6):
         dn = derivation_Dn(n)

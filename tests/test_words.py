@@ -230,8 +230,11 @@ def test_poly_arithmetic():
     x, y = Poly.word("x"), Poly.word("y")
     assert x * y == Poly.word("xy")
     assert Poly.word("xy") + Poly.word("xy", -1) == Poly.zero()
-    assert 2 * x == Poly.word("x", 2) == x * 2
-    assert Fraction(1, 2) * Poly.word("x", 2) == x
+    assert x.scale(2) == Poly.word("x", 2)
+    assert Poly.word("x", 2).scale(Fraction(1, 2)) == x
+    for scalar_product in (lambda: x * 2, lambda: 2 * x):  # scale is the one scalar product
+        with pytest.raises(TypeError):
+            scalar_product()
     assert Poly.word("xy", 0) == Poly.zero()
     assert type(Poly.word("xy", Fraction(4, 2)).coeff("xy")) is int
     for coeff in (1, 0):
