@@ -250,7 +250,8 @@ def main(argv=None) -> int:
     try:
         lines, code = args.run(args, args.format)
         _emit(lines, args.out)
-    except (DomainError, OSError) as exc:  # OSError: e.g. --out in a missing directory
+    # OSError: e.g. --out in a missing directory; OverflowError: an index past sys.maxsize
+    except (DomainError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return code

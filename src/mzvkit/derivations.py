@@ -30,6 +30,7 @@ from .words import (
     _add_into,
     _between,
     _raw,
+    admissible_words,
     as_poly,
     check_int,
     check_word,
@@ -80,8 +81,7 @@ def ihara_kaneko(n: int) -> Derivation:
     consistent completion.
     """
     check_int(n, 1, "index")
-    x, y = Poly.word(X), Poly.word(Y)
-    img = x * (x + y) ** (n - 1) * y
+    img = Poly(dict.fromkeys(admissible_words(n + 1), 1))  # x (x+y)^(n-1) y: every x ... y word
     return Derivation(img, -img)
 
 

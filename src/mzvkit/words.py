@@ -160,7 +160,7 @@ class Poly:
     of the word algebra; `scale` multiplies by a rational.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping | Iterable | None = None):
         if isinstance(terms, str):
@@ -174,7 +174,6 @@ class Poly:
                     raise DomainError(f"not a (word, coefficient) pair: {term!r}") from None
                 _add_into(acc, Poly.word(w, c))
         self._terms = acc
-        self._hash = None
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -209,11 +208,7 @@ class Poly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(frozenset(self._terms.items()))
-            self._hash = h
-        return h
+        return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
@@ -230,13 +225,6 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         return linear(lambda u: _between(u, other), self)
-
-    def __pow__(self, n: int) -> "Poly":
-        check_int(n, 0, "exponent")
-        out = Poly.one()
-        for _ in range(n):
-            out = out * self
-        return out
 
     def scale(self, c) -> "Poly":
         c = _coeff(c)
@@ -280,7 +268,6 @@ def _raw(terms: dict) -> Poly:
     """Wrap a dict of canonical nonzero coefficients without re-validation (internal)."""
     p = Poly.__new__(Poly)
     p._terms = terms
-    p._hash = None
     return p
 
 

@@ -143,6 +143,11 @@ def test_verify_exits_1_on_a_false_relation(monkeypatch, capsys):
         ["MZV_PRECISION=abc", "eval", "(2)"],
         ["eval", "(2" + ",1" * 171 + ")", "--cutoff", "10"],  # depth 172: the tail bound overflows
         ["eval", "(1000" + ",1" * 110 + ")", "--cutoff", "3", "--precision", "5"],
+        # an index past sys.maxsize: refused before anything is allocated
+        ["derive", "--op", "Dn", "--n", "99999999999999999999", "x"],
+        *(["act", "--elem", e, "--n", "99999999999999999999", "y"] for e in ("pn", "en", "hn")),
+        ["shuffle", "z99999999999999999999", "x"],
+        ["dual", "(99999999999999999999)"],
     ],
 )
 def test_out_of_domain_arguments_are_errors(monkeypatch, capsys, argv):
@@ -155,6 +160,7 @@ def test_out_of_domain_arguments_are_errors(monkeypatch, capsys, argv):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1  # one line, no traceback
 
 
 @pytest.mark.parametrize("bad", [["--cutoff", "0"], ["--precision", "0"]])

@@ -49,6 +49,16 @@ def test_leibniz_rule():
                         assert left == right
 
 
+def test_ihara_kaneko_image_is_x_binomial_power_y():
+    x, y = Poly.word("x"), Poly.word("y")
+    power = Poly.one()  # (x+y)^(n-1), one factor per n
+    for n in range(1, 8):
+        d = ihara_kaneko(n)
+        assert d.image_of_x == x * power * y, n
+        assert d.image_of_y == -d.image_of_x, n
+        power = power * (x + y)
+
+
 def test_conjugate():
     D = derivation_D()
     assert conjugate(D).image_of_x == Poly.word("xy")
@@ -150,8 +160,8 @@ def test_cyclic_on_graded_binomial_powers():
     # The coefficient of t^d is the part with d letters y (length_part).
     x, y = Poly.word("x"), Poly.word("y")
     for n in range(2, 8):
-        mu = (x + y) ** (n - 1)
-        inner = (x + y) ** (n - 2)
+        mu = Poly(dict.fromkeys(all_words(n - 1), 1))  # (x+y)^(n-1): every word of length n-1
+        inner = Poly(dict.fromkeys(all_words(n - 2), 1))
         for d in range(n):
             expected_c = (x * length_part(inner, d - 1) * y).scale(n - 1)
             assert cyclic_C(length_part(mu, d)) == expected_c, (n, d)

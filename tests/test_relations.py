@@ -228,6 +228,14 @@ def test_inadmissible_family_element_names_the_graded_lex_first_bad_word(monkeyp
         generate(4, ["bad"])
 
 
+def test_mixed_weight_family_element_is_an_error(monkeypatch):
+    element = Poly([("xxy", 1), ("xxyy", 1)])
+    family = lambda weight: relations._collect(weight, "bad", [(element, {})])  # noqa: E731
+    monkeypatch.setitem(FAMILIES, "bad", family)
+    with pytest.raises(DomainError, match="^relation element is not homogeneous of weight 4$"):
+        generate(4, ["bad"])
+
+
 def test_rowspace():
     s = RowSpace(["xy", "xxy", "xyy"])
     half = Fraction(1, 2)

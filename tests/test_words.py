@@ -87,7 +87,7 @@ def test_shared_word_image_is_never_mutated(name):
     before = dict(p.items())
     assert image() is p  # shared, not copied
     p + p, p - p, -p, p.scale(3), p.scale(Fraction(1, 2)), p * p
-    Poly.word("x") * p, p * Poly.word("y"), p ** 2
+    Poly.word("x") * p, p * Poly.word("y")
     linear(lambda w: p, Poly({"x": 1, "y": -1}))
     bilinear(lambda u, v: p, Poly({"x": 1, "y": 2}), "x")
     s = TruncatedSeries({0: p, 1: p}, 2)
@@ -244,7 +244,9 @@ def test_poly_arithmetic():
     assert type(Poly([("xy", Fraction(1, 2)), ("xy", Fraction(1, 2))]).coeff("xy")) is int
     with pytest.raises(DomainError):
         Poly({"xz": 0})
-    assert (x + y) ** 2 == Poly({"xx": 1, "xy": 1, "yx": 1, "yy": 1})
+    assert (x + y) * (x + y) == Poly({"xx": 1, "xy": 1, "yx": 1, "yy": 1})
+    with pytest.raises(TypeError):
+        Poly.word("xy") ** 2
     assert Poly.one() * x == x
     assert -(x - y) == y - x
     assert (x * y).tau() == y.tau() * x.tau()
@@ -323,7 +325,6 @@ def test_compositions_count():
         "generate(2.5)",
         "rank_report(3.0)",
         "sigma_t('xy', 2.5)",
-        "Poly.word('xy') ** 2.5",
         "Poly('xy')",
         "word_of((True,))",
         "list(all_words(2.5))",
