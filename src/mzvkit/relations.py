@@ -219,15 +219,19 @@ class RowSpace:
     primitive integer vectors with a positive pivot (first nonzero) entry,
     keyed by pivot column.  Against the row with pivot p a vector v becomes
     (row[p]*v - v[p]*row) / gcd(v[p], row[p]), with its content divided out.
+    A vector that reduces to zero lies in the span already and is not stored.
     """
 
     def __init__(self, basis):
-        self.column = {w: j for j, w in enumerate(basis)}
+        self.column: dict = {}  # basis word -> column index
+        for w in basis:
+            if w in self.column:
+                raise DomainError(f"repeated basis word: {w!r}")
+            self.column[w] = len(self.column)
         self.rows: dict = {}  # pivot column -> primitive integer row
 
-    def _reduce(self, poly: Poly) -> tuple:
-        """(p, v): the integer vector of poly, reduced until its first nonzero column p
-        has no pivot; p is None when v reduces to zero."""
+    def add(self, poly: Poly) -> bool:
+        """Insert a Poly; True if it enlarged the span, False if the span already held it."""
         entries = {}
         for w, c in poly._terms.items():  # no order needed
             j = self.column.get(w)
@@ -245,25 +249,16 @@ class RowSpace:
                 continue
             row = self.rows.get(p)
             if row is None:
-                return p, v
+                g = gcd(*v) if v[p] > 0 else -gcd(*v)
+                self.rows[p] = [x // g for x in v]
+                return True
             g = gcd(v[p], row[p])
             a, b = row[p] // g, v[p] // g
             v[p:] = [a * x - b * y for x, y in zip(v[p:], row[p:])]
             g = gcd(*v[p:])
             if g > 1:
                 v[p:] = [x // g for x in v[p:]]
-        return None, v
-
-    def add(self, poly: Poly) -> bool:
-        """Insert a Poly; True if it enlarged the span."""
-        p, v = self._reduce(poly)
-        if p is not None:
-            g = gcd(*v) if v[p] > 0 else -gcd(*v)
-            self.rows[p] = [x // g for x in v]
-        return p is not None
-
-    def contains(self, poly: Poly) -> bool:
-        return self._reduce(poly)[0] is None
+        return False
 
     @property
     def rank(self) -> int:

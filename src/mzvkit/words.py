@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 X = "x"
 Y = "y"
@@ -162,26 +162,17 @@ class Poly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping | Iterable | None = None):
-        if isinstance(terms, str):
-            raise DomainError(f"Poly takes (word, coefficient) pairs, not a string: {terms!r}")
+    def __init__(self, terms: Mapping | None = None):
+        if not isinstance(terms, (Mapping, type(None))):
+            raise DomainError(f"Poly takes a mapping of words to coefficients: {terms!r}")
         acc: dict = {}
-        if terms:
-            for term in terms.items() if isinstance(terms, Mapping) else terms:
-                try:
-                    w, c = term
-                except (TypeError, ValueError):
-                    raise DomainError(f"not a (word, coefficient) pair: {term!r}") from None
-                _add_into(acc, Poly.word(w, c))
+        for w, c in (terms or {}).items():
+            _add_into(acc, Poly.word(w, c))
         self._terms = acc
 
     @classmethod
     def zero(cls) -> "Poly":
         return cls()
-
-    @classmethod
-    def one(cls) -> "Poly":
-        return cls({"": 1})
 
     @classmethod
     def word(cls, w: Word, coeff=1) -> "Poly":

@@ -70,7 +70,7 @@ def _ref_exp_partial(a: dict, order: int) -> dict:
 
 def _word_map(w):
     # half-integer images that overlap between words, so sums turn integral
-    return Poly([(w[:-1], HALF), (w[1:], -HALF), (w, 1)])
+    return Poly.word(w[:-1], HALF) - Poly.word(w[1:], HALF) + Poly.word(w)
 
 
 def _assert_canonical(p: Poly, expected: dict) -> None:

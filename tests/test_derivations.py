@@ -51,12 +51,25 @@ def test_leibniz_rule():
 
 def test_ihara_kaneko_image_is_x_binomial_power_y():
     x, y = Poly.word("x"), Poly.word("y")
-    power = Poly.one()  # (x+y)^(n-1), one factor per n
+    power = Poly.word("")  # (x+y)^(n-1), one factor per n
     for n in range(1, 8):
         d = ihara_kaneko(n)
         assert d.image_of_x == x * power * y, n
         assert d.image_of_y == -d.image_of_x, n
         power = power * (x + y)
+
+
+def test_derivation_hash_agrees_with_equality_without_hashing_images(monkeypatch):
+    def no_hash(p):
+        raise AssertionError("a Poly was hashed")
+
+    monkeypatch.setattr(Poly, "__hash__", no_hash)
+    D = derivation_D()
+    assert isinstance(hash(ihara_kaneko(5)), int)
+    img, x, y = ihara_kaneko(5).image_of_x, Poly.word("x"), Poly.word("y")
+    assert ihara_kaneko(5).apply("xxy") == img * x * y + x * img * y - x * x * img
+    assert hash(derivation_Dn(1)) == hash(D)
+    assert conjugate(conjugate(D)) == D and hash(conjugate(conjugate(D))) == hash(D)
 
 
 def test_conjugate():

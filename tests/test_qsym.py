@@ -64,7 +64,7 @@ def test_coproduct_coassociative():
 
 
 def test_act_base_cases():
-    assert act(Poly.one(), "xyx") == Poly.word("xyx")
+    assert act(Poly.word(""), "xyx") == Poly.word("xyx")
     for k in range(1, 5):
         assert act(word_of((k,)), "y") == Poly.word("x" * k + "y")
         assert act(word_of((k,)), "x") == Poly.zero()
@@ -138,7 +138,7 @@ def test_symmetric_elements():
     assert complete_h(2) == Poly({"xy": 1, "yy": 1})
     assert elementary_e(3) == Poly.word("yyy")
     assert power_p(3) == Poly.word("xxy")
-    assert complete_h(0) == elementary_e(0) == Poly.one()
+    assert complete_h(0) == elementary_e(0) == Poly.word("")
     for n in range(1, 8):
         assert len(complete_h(n)) == 2 ** (n - 1)
         assert complete_h(n) == Poly({word_of(c): 1 for c in compositions(n)})
@@ -288,4 +288,11 @@ def test_truncated_series_arithmetic():
         with pytest.raises(TypeError):
             a * other
     with pytest.raises(DomainError):
-        TruncatedSeries({0: Poly.one()}, -1)
+        TruncatedSeries({0: Poly.word("")}, -1)
+
+
+def test_truncated_series_compares_and_prints():
+    assert (TruncatedSeries({0: Poly.word("x")}, 2) == 1) is False
+    series = TruncatedSeries({0: Poly.word("x"), 1: Poly.word("y")}, 2)
+    assert repr(series) == "TruncatedSeries(order=2, t^0: x; t^1: y)"
+    assert repr(TruncatedSeries({}, 2)) == "TruncatedSeries(order=2, 0)"

@@ -46,11 +46,11 @@ def _term_by_term(word_fn, p):
 
 def _word_map(w):
     # images of different words share terms, e.g. xy -> x - y and yx -> y - x
-    return Poly([(w[:-1], 1), (w[1:], -1)])
+    return Poly.word(w[:-1]) - Poly.word(w[1:])
 
 
 def _commutator(u, v):
-    return Poly([(u + v, 1), (v + u, -1)])
+    return Poly.word(u + v) - Poly.word(v + u)
 
 
 @given(polys_st)
@@ -230,6 +230,9 @@ def test_poly_arithmetic():
     x, y = Poly.word("x"), Poly.word("y")
     assert x * y == Poly.word("xy")
     assert Poly.word("xy") + Poly.word("xy", -1) == Poly.zero()
+    assert (x == "x") is False  # == and + take Polys only
+    with pytest.raises(TypeError):
+        x + 1
     assert x.scale(2) == Poly.word("x", 2)
     assert Poly.word("x", 2).scale(Fraction(1, 2)) == x
     for scalar_product in (lambda: x * 2, lambda: 2 * x):  # scale is the one scalar product
@@ -240,14 +243,14 @@ def test_poly_arithmetic():
     for coeff in (1, 0):
         with pytest.raises(DomainError):
             Poly.word("xz", coeff)
-    assert Poly([("xy", 1), ("xy", -1)]) == Poly.zero()
-    assert type(Poly([("xy", Fraction(1, 2)), ("xy", Fraction(1, 2))]).coeff("xy")) is int
+    half = Poly.word("xy", Fraction(1, 2))
+    assert type((half + half).coeff("xy")) is int
     with pytest.raises(DomainError):
         Poly({"xz": 0})
     assert (x + y) * (x + y) == Poly({"xx": 1, "xy": 1, "yx": 1, "yy": 1})
     with pytest.raises(TypeError):
         Poly.word("xy") ** 2
-    assert Poly.one() * x == x
+    assert Poly.word("") * x == x
     assert -(x - y) == y - x
     assert (x * y).tau() == y.tau() * x.tau()
 
@@ -331,6 +334,7 @@ def test_compositions_count():
         "Poly.word('xy', 'a')",
         "Poly([('xy',)])",
         "Poly([1, 2])",
+        "Poly([('xy', 1)])",
         "cyclic_C_pair('xy', 3)",
         "Poly.word('xy', 0.1)",
         "Poly({'xy': 0.5})",
