@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from dataclasses import asdict
@@ -155,22 +154,10 @@ def _cmd_rank(args, fmt):
     return lines, 0
 
 
-def _precision(args) -> int:
-    """--precision if given, else the MZV_PRECISION environment variable, else the default."""
-    if args.precision is not None:
-        return args.precision
-    text = os.environ.get("MZV_PRECISION", str(numerics.DEFAULT_DIGITS))
-    try:
-        return int(text)
-    except ValueError:
-        raise DomainError(f"MZV_PRECISION is not an integer: {text!r}") from None
-
-
 def _cmd_verify(args, fmt):
-    digits = _precision(args)
-    numerics.check_args(args.cutoff, digits)
+    numerics.check_args(args.cutoff, args.precision)
     rels = relations.generate(args.weight, _families(args.families))
-    reports = numerics.verify(rels, cutoff=args.cutoff, digits=digits)
+    reports = numerics.verify(rels, cutoff=args.cutoff, digits=args.precision)
     code = 0 if all(rep.passed for rep in reports) else 1
     if fmt == "json":
         return [json.dumps(asdict(rep), sort_keys=True) for rep in reports], code
@@ -183,11 +170,11 @@ def _cmd_verify(args, fmt):
 
 def _cmd_eval(args, fmt):
     c = parse_composition(args.composition)
-    r = numerics.mzv_eval(c, cutoff=args.cutoff, digits=_precision(args))
+    r = numerics.mzv_eval(c, cutoff=args.cutoff, digits=args.precision)
     if fmt == "json":
-        obj = dict(composition=list(c), value=str(r.value), cutoff=r.truncation, tail_bound=r.tail_bound)
+        obj = dict(composition=list(c), value=str(r.value), cutoff=args.cutoff, tail_bound=r.tail_bound)
         return [json.dumps(obj, sort_keys=True)], 0
-    return [f"{format_composition(c)} = {r.value}  (cutoff {r.truncation}, tail <= {r.tail_bound:.3e})"], 0
+    return [f"{format_composition(c)} = {r.value}  (cutoff {args.cutoff}, tail <= {r.tail_bound:.3e})"], 0
 
 
 @functools.cache  # one parser per process; parse_args returns a fresh Namespace each call
@@ -205,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     at_weight.add_argument("--families", default="all")
     evaluated = argparse.ArgumentParser(add_help=False)  # verify, eval
     evaluated.add_argument("--cutoff", type=int, default=numerics.DEFAULT_CUTOFF)
-    evaluated.add_argument("--precision", type=int, default=None)
+    evaluated.add_argument("--precision", type=int, default=numerics.DEFAULT_DIGITS)
     sub = top.add_subparsers(dest="command", required=True)
 
     def command(name, run, summary, *parents):

@@ -70,7 +70,7 @@ def derivation_D() -> Derivation:
 def derivation_Dn(n: int) -> Derivation:
     """The derivation with x -> 0 and y -> x^n y."""
     check_int(n, 1, "index")
-    return Derivation(Poly.zero(), Poly.word(X * n + Y))
+    return Derivation(Poly(), Poly.word(X * n + Y))
 
 
 def conjugate(d: Derivation) -> Derivation:

@@ -107,11 +107,11 @@ _SMALL_BLOCK = 32  # T/S tree levels with half blocks up to this size convolve i
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Partial sum of a nested series; tail_bound bounds its truncation (mzv_eval), its
-    distance from the infinite sum (zeta_of_poly), or estimates its tail (T/S series)."""
+    """Partial sum of a nested series at the caller's cutoff; tail_bound bounds its truncation
+    (mzv_eval), its distance from the infinite sum (zeta_of_poly), or estimates its tail
+    (T/S series)."""
 
     value: Decimal
-    truncation: int
     tail_bound: float
 
 
@@ -186,7 +186,7 @@ def mzv_eval_many(comps, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT_DIG
             if value != ctx.divide(s + _rounding_term(len(c), cutoff), 1 << bits):
                 exact = _exact_sum(c, cutoff)  # a half-way point lies in the enclosure
                 value = ctx.divide(exact.numerator, exact.denominator)
-            _mzv_cache[(c, cutoff, digits)] = EvalResult(value, cutoff, tails[c])
+            _mzv_cache[(c, cutoff, digits)] = EvalResult(value, tails[c])
     return [_mzv_cache[(c, cutoff, digits)] for c in comps]
 
 
@@ -314,7 +314,7 @@ def _linear_value(coeffs: list, results: list, cutoff: int, digits: int) -> Eval
         bounds.append(float(11 * magnitude.scaleb(-digits)))  # the rounding term
     with localcontext() as ctx:
         ctx.prec = digits
-        return EvalResult(+total, cutoff, math.fsum(bounds) * (1 + 2**-40))
+        return EvalResult(+total, math.fsum(bounds) * (1 + 2**-40))
 
 
 def _check_series_args(c: Composition, k_last: int, cutoff: int) -> None:
@@ -372,7 +372,7 @@ def _chain_sum(c: Composition, w: np.ndarray, N: int) -> EvalResult:
         by_n1[:m].reshape(-1, 2 * h)[:, h:] += high[0] * cross
         h *= 2
     total, half = float(by_n1[: N + 1].sum()), float(by_n1[: N // 2 + 1].sum())
-    return EvalResult(Decimal(repr(total)), N, 2.0 * abs(total - half) + _FLOAT_NOISE)
+    return EvalResult(Decimal(repr(total)), 2.0 * abs(total - half) + _FLOAT_NOISE)
 
 
 def _cumsum_before(x: np.ndarray) -> np.ndarray:

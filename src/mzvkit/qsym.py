@@ -70,7 +70,7 @@ def _act_word(u: Word, w: Word) -> Poly:
     if not u:
         return _raw({w: 1})
     if not w:
-        return Poly.zero()
+        return Poly()
     if w[0] == X:
         return _between(X, _act_word(u, w[1:]))
     k = u.index(Y) + 1  # u = z_k u1
@@ -121,7 +121,7 @@ class TruncatedSeries:
         }
 
     def coeff(self, k: int) -> Poly:
-        return self._coeffs.get(k, Poly.zero())
+        return self._coeffs.get(k, Poly())
 
     def items(self):
         return sorted(self._coeffs.items())
@@ -224,7 +224,7 @@ def _exp_graded_derivation(der_of_index, p: Poly, order: int) -> TruncatedSeries
 
 
 _dn = lru_cache(maxsize=None)(derivation_Dn)
-_partial = lru_cache(maxsize=None, typed=True)(ihara_kaneko)  # typed, so 2.0 or True is checked
+_partial = lru_cache(maxsize=None)(ihara_kaneko)
 
 
 def sigma_t_exp(p, order: int) -> TruncatedSeries:

@@ -81,10 +81,8 @@ def _collect(weight: int, family: str, pairs) -> list:
         if element.weight() != weight:
             raise DomainError(f"relation element is not homogeneous of weight {weight}")
         check_h0(element)
-        element = normalize(element)
-        if element not in out:
-            out[element] = Relation(element, weight, family, tuple(sorted(params.items())))
-    return list(out.values())
+        out.setdefault(normalize(element), params)
+    return [Relation(e, weight, family, tuple(sorted(p.items()))) for e, p in out.items()]
 
 
 def gen_duality(weight: int) -> list:
@@ -107,10 +105,8 @@ def gen_cyclic_sum(weight: int) -> list:
     Sources are the y-ending words of weight - 1 that are not powers of y,
     enumerated as compositions up to rotation.
     """
-    if weight < 2:
-        return []
     reps = dict.fromkeys(  # powers of y are excluded
-        min(rotations(c)) for c in compositions(weight - 1) if c and set(c) != {1}
+        min(rotations(c)) for c in compositions(max(weight - 1, 0)) if c and set(c) != {1}
     )
     pairs = (
         (cyclic_C(w) - cyclic_C_bar(w), {"source": format_composition(rep)})
@@ -140,19 +136,24 @@ def gen_hoffman43(weight: int) -> list:
     return _collect(weight, "hoffman43", pairs)
 
 
-def gen_ihara_kaneko(n: int, weight: int) -> list:
-    """Images of admissible words under the n-th antisymmetric derivation."""
-    dn = _partial(n)
-    pairs = ((dn.apply(w), {"n": n, "source": w}) for w in admissible_words(max(weight - n, 0)))
+def gen_ihara_kaneko(weight: int) -> list:
+    """Images of admissible words under the n-th antisymmetric derivation, 1 <= n <= weight - 2."""
+    pairs = (
+        (dn.apply(w), {"n": n, "source": w})
+        for n in range(1, weight - 1)
+        for dn in [_partial(n)]
+        for w in admissible_words(weight - n)
+    )
     return _collect(weight, "ihara_kaneko", pairs)
 
 
-def gen_ohno(n: int, weight: int) -> list:
-    """h_n acting on the dual minus h_n acting on the word, per admissible word."""
-    hn = complete_h(n)
+def gen_ohno(weight: int) -> list:
+    """h_n on the dual of each admissible word minus h_n on the word, 1 <= n <= weight - 2."""
     pairs = (
         (act(hn, Poly.word(w).tau()) - act(hn, w), {"n": n, "source": w})
-        for w in admissible_words(max(weight - n, 0))  # no source word below weight 0
+        for n in range(1, weight - 1)
+        for hn in [complete_h(n)]
+        for w in admissible_words(weight - n)
     )
     return _collect(weight, "ohno", pairs)
 
@@ -176,10 +177,8 @@ FAMILIES = {
     "cyclic": gen_cyclic_sum,
     "sum": gen_sum_theorem,
     "hoffman43": gen_hoffman43,
-    "ihara_kaneko": lambda weight: [
-        r for n in range(1, weight - 1) for r in gen_ihara_kaneko(n, weight)
-    ],
-    "ohno": lambda weight: [r for n in range(1, weight - 1) for r in gen_ohno(n, weight)],
+    "ihara_kaneko": gen_ihara_kaneko,
+    "ohno": gen_ohno,
     "double_shuffle": gen_double_shuffle,
 }
 
@@ -202,11 +201,7 @@ def _check_families(weight: int, families) -> tuple:
 def generate(weight: int, families=FAMILIES) -> list:
     """All relations of the requested families at one weight, each family generated once and
     deduplicated on its own: families with equal elements (derivation, hoffman43) keep both."""
-    out: dict = {}
-    for family in _check_families(weight, families):
-        for r in FAMILIES[family](weight):
-            out.setdefault((r.family, r.element), r)
-    return list(out.values())
+    return [r for family in _check_families(weight, families) for r in FAMILIES[family](weight)]
 
 
 class RowSpace:

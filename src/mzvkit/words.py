@@ -171,10 +171,6 @@ class Poly:
         self._terms = acc
 
     @classmethod
-    def zero(cls) -> "Poly":
-        return cls()
-
-    @classmethod
     def word(cls, w: Word, coeff=1) -> "Poly":
         check_word(w)
         c = _coeff(coeff)
@@ -220,7 +216,7 @@ class Poly:
     def scale(self, c) -> "Poly":
         c = _coeff(c)
         if not c:
-            return Poly.zero()
+            return Poly()
         return _raw(_add_into({}, self, c))
 
     def tau(self) -> "Poly":

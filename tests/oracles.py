@@ -59,7 +59,7 @@ def exp_reference(der_of_index, p, order):
         for k, q in term.items():
             for n in range(1, order - k + 1):
                 image = der_of_index(n).apply(q).scale(Fraction(1, n * m))
-                out[k + n] = out.get(k + n, Poly.zero()) + image
+                out[k + n] = out.get(k + n, Poly()) + image
         term = TruncatedSeries(out, order)
         total = total + term
     return total

@@ -140,7 +140,7 @@ def test_verify_exits_1_on_a_false_relation(monkeypatch, capsys):
         ["act", "--elem", "hn", "--n", "2", "xy", "yx"],  # two targets
         ["eval", "abc"],
         ["--out", f"{__file__}/out.txt", "eval", "(2)", "--cutoff", "10"],  # not a directory
-        ["MZV_PRECISION=abc", "eval", "(2)"],
+        ["series", "--op", "phi", "--order", "-1", "x"],
         ["eval", "(2" + ",1" * 171 + ")", "--cutoff", "10"],  # depth 172: the tail bound overflows
         ["eval", "(1000" + ",1" * 110 + ")", "--cutoff", "3", "--precision", "5"],
         # an index past sys.maxsize: refused before anything is allocated
@@ -150,11 +150,7 @@ def test_verify_exits_1_on_a_false_relation(monkeypatch, capsys):
         ["dual", "(99999999999999999999)"],
     ],
 )
-def test_out_of_domain_arguments_are_errors(monkeypatch, capsys, argv):
-    while "=" in argv[0]:  # leading NAME=value items set the environment, as in a shell
-        name, value = argv[0].split("=", 1)
-        monkeypatch.setenv(name, value)
-        argv = argv[1:]
+def test_out_of_domain_arguments_are_errors(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 1
@@ -322,19 +318,17 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text().strip() == "(2,1)"
 
 
-def test_precision_env_var(monkeypatch, capsys):
-    monkeypatch.setenv("MZV_PRECISION", "8")
-    code, out = run_cli(capsys, "eval", "(2)", "--cutoff", "1000")
-    assert code == 0
-    digits = out.split("=")[1].split("(")[0].strip().replace(".", "")
-    assert len(digits) <= 9  # 8 significant digits plus slack for the exponent form
+def _console(*argv):
+    return subprocess.run([sys.executable, "-m", "mzvkit.cli", *argv], capture_output=True, text=True)
 
 
 def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "mzvkit.cli", "dual", "(3)"],
-        capture_output=True,
-        text=True,
-    )
+    proc = _console("dual", "(3)")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "(2,1)"
+    # a failure reaches the process exit status, so a shell or CI step sees it
+    proc = _console("dual", "(1)")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    proc = _console("verify", "--weight", "2")  # no relations to verify
+    assert proc.returncode == 1

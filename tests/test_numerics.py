@@ -123,7 +123,7 @@ def test_zeta_of_poly():
     p = Poly({"xxy": 1, "xyy": -1})
     r = zeta_of_poly(p, N_SMALL)
     assert abs(float(r.value)) <= 10 * r.tail_bound
-    assert zeta_of_poly(Poly.zero(), N_SMALL).value == 0
+    assert zeta_of_poly(Poly(), N_SMALL).value == 0
     assert zeta_of_poly(Poly.word(""), N_SMALL).value == 1
     with pytest.raises(DomainError):
         zeta_of_poly(Poly.word("yx"), N_SMALL)
@@ -378,7 +378,7 @@ def test_shared_pass_matches_per_composition_loop(comps, cached, cutoff, digits)
             assert str(r.value) == "0", c
         else:
             assert str(r.value) == str(_reference_sum(c, cutoff, digits)), c
-        assert (r.truncation, r.tail_bound) == (cutoff, mzv_tail_bound(c, cutoff))
+        assert r.tail_bound == mzv_tail_bound(c, cutoff)
 
 
 def _count_passes(monkeypatch) -> list:
@@ -608,7 +608,7 @@ def test_negative_control_derivation_needs_admissible_input():
     Dbar = conjugate(D)
     lhs = zeta_of_poly(D.apply("y"), N_SMALL)
     rhs = zeta_of_poly(Dbar.apply("y"), N_SMALL)
-    assert Dbar.apply("y") == Poly.zero()
+    assert Dbar.apply("y") == Poly()
     assert abs(float(lhs.value - rhs.value)) > 10 * (lhs.tail_bound + rhs.tail_bound)
     assert float(lhs.value) > 1.6
 
