@@ -40,27 +40,20 @@ the integral over t > N of (1 + ln t)^(l-1) / (l-1)! * t^(-k1): the inner
 sum over n1 > n2 > ... > nl is at most H_{n1-1}^(l-1) / (l-1)!, and on
 [n1 - 1, n1] both 1 + ln t >= H_{n1-1} and t^(-k1) >= n1^(-k1), so each
 term is at most the integral over that interval.  Depth one gives the usual
-N^(1-k1) / (k1 - 1).  mzv_eval's tail_bound is this bound, truncation only,
-or 2^-950 if that is larger.  Underflow can lower the float formula by more
-than 2^-1074 a term only where N^(1-k1) < 2^-1022, and there, as the sum is
-at most e^(1 + ln N) / (k1 - 1) <= e N < 2^64, tail(N) < 2^-958 < 2^-950.
+N^(1-k1) / (k1 - 1).  Every term grows with ln N, so _tail, a Fraction,
+raises it to a rational bound: N = 2^e x with 1 <= x < 2 has
+ln N <= 0.693148 e + (x - 1)(x + 5) / (4x + 2), since ln 2 < 0.693148 and
+the last term minus ln x is 0 at x = 1 with derivative
+4 (x - 1)^3 / (x (4x + 2)^2) >= 0.  mzv_eval's tail_bound is the least
+float >= _tail: truncation only.
 
-A combination's tail_bound (zeta_of_poly, verify) adds rounding, so verify
-passes every true relation and a failure proves it false (one digit may not
-refute a false one).  Let d = digits and M = sum |c_i v_i|.  A correctly rounded
-v_i is off by at most 10^(e_i + 1 - d) / 2 <= 5 10^-d |v_i| (e_i its leading
-digit's exponent).  The sum, formed at d + 10 digits by t + 2 roundings per
-term of u = 5 10^-(d+10) relative each, is off by at most
-(t + 2) u M / (1 - (t + 2) u) <= 10^-(d+1) M for t < 10^8 terms, and its
-rounding to d digits by 5 10^-d (1 + 10^-(d+1)) M: 10.2 10^-d M in all, below
-11 10^-d M' for M' >= 0.99 M the sum of |c_i v_i| as formed.  The float64 bound
-is fsum(|c_i| tail_i, 11 10^-d M') (1 + 2^-40).  With pow and log within one
-ulp (2^-52), as in glibc, a tail_i is low by under 2^9 ulps (15 + 2j for term
-j < l <= 171, as j! overflows past that, and l / 2 to sum) and the rest by
-four: (1 - 2^-43)(1 - 2^-52)^4 (1 + 2^-40) > 1 + 2^-53 covers the residual's
-float conversion.  A coefficient outside [2^-950, 2^950] in size is rejected
-(each tail is below e, so no sum of fewer than 10^8 terms overflows); the
-bound assumes that no tail or 10^-d M' falls below about 2^-950.
+A combination sum c_i zeta(w_i) is decided in integers (verify,
+zeta_of_poly).  With D the lcm of the c_i's denominators, a_i = D c_i, S_i
+the pass's sums at scale 2^B, R_i the rounding term of w_i's depth and
+T_i = ceil(2^B _tail_i), 2^B zeta(w_i) - S_i lies in [0, R_i + T_i].  So
+X = sum a_i S_i has |X| <= sum |a_i| (R_i + T_i) for every true relation:
+verify passes exactly then, and a failure proves the relation false at any
+cutoff and precision.  Floats only print X and the bound over D 2^B.
 
 The two auxiliary series with the coupling factor 1/(n1 - j), j the
 innermost index, do not split into prefix sums, so they are summed in
@@ -79,8 +72,9 @@ accumulation noise across the O(N^2) terms.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from decimal import Context, Decimal, localcontext
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -117,7 +111,7 @@ class EvalResult:
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """residual: |truncated value|; threshold: its proved tail_bound; passed: residual <= threshold."""
+    """residual |X| / scale and threshold bound / scale, correctly rounded; passed: |X| <= bound."""
 
     relation: str
     residual: float
@@ -145,18 +139,34 @@ def _check_composition(c: Composition) -> None:
 
 
 def mzv_tail_bound(c: Composition, cutoff: int) -> float:
-    """tail(N) of the module docstring, N = cutoff: bounds the terms with n1 > N, not rounding."""
+    """The least float >= _tail(c, cutoff): bounds the terms with n1 > cutoff, not rounding."""
     _check_composition(c)
     check_args(cutoff)
-    l = len(c)
-    if l == 0:
-        return 0.0
-    a, log_n = c[0] - 1.0, 1.0 + math.log(cutoff)
-    try:
-        bound = sum(cutoff**-a * log_n**j / (math.factorial(j) * a ** (l - j)) for j in range(l))
-    except OverflowError:
-        raise DomainError(f"tail bound out of float range (depth <= 171, no overflow): {c}") from None
-    return max(bound, 2.0**-950)  # below that, an underflow may have lost the bound
+    return _float_above(_tail(c, cutoff))
+
+
+def _tail(c: Composition, cutoff: int) -> Fraction:
+    """tail(N) of the module docstring, N = cutoff, with 1 + ln N raised to its rational bound."""
+    e = cutoff.bit_length() - 1
+    x = Fraction(cutoff, 1 << e)
+    log_n = 1 + Fraction(693148, 10**6) * e + (x - 1) * (x + 5) / (4 * x + 2)
+    a = c[0] - 1 if c else 0  # the unit has no tail: the sum is empty
+    return Fraction(sum(log_n**j / (math.factorial(j) * a ** (len(c) - j)) for j in range(len(c))), cutoff**a)
+
+
+def _float_above(q: Fraction) -> float:
+    """The least float >= q; a q above the largest float is a DomainError."""
+    if q > sys.float_info.max:
+        raise DomainError("bound out of float range")
+    f = float(q)
+    return f if f >= q else math.nextafter(f, math.inf)
+
+
+def _decimal(num: int, den: int, digits: int) -> Decimal:
+    """num / den rounded half-even to digits significant digits, padded to them; 0 stays 0."""
+    ctx = Context(prec=digits)
+    value = ctx.divide(num, den)
+    return ctx.quantize(value, Decimal((0, (1,), value.adjusted() + 1 - digits))) if value else value
 
 
 def mzv_eval(c: Composition, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT_DIGITS) -> EvalResult:
@@ -176,17 +186,15 @@ def mzv_eval_many(comps, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT_DIG
         _check_composition(c)
     check_args(cutoff, digits)
     todo = {c for c in comps if (c, cutoff, digits) not in _mzv_cache}
-    tails = {c: mzv_tail_bound(c, cutoff) for c in todo}  # out of float range: raises before the pass
     if todo:
         bits, sums = _suffix_pass(todo, cutoff, digits)
-        ctx = Context(prec=digits)
         for c in todo:
             s = sums[c]
-            value = ctx.divide(s, 1 << bits)
-            if value != ctx.divide(s + _rounding_term(len(c), cutoff), 1 << bits):
+            value = _decimal(s, 1 << bits, digits)
+            if value != _decimal(s + _rounding_term(len(c), cutoff), 1 << bits, digits):
                 exact = _exact_sum(c, cutoff)  # a half-way point lies in the enclosure
-                value = ctx.divide(exact.numerator, exact.denominator)
-            _mzv_cache[(c, cutoff, digits)] = EvalResult(value, tails[c])
+                value = _decimal(exact.numerator, exact.denominator, digits)
+            _mzv_cache[(c, cutoff, digits)] = EvalResult(value, mzv_tail_bound(c, cutoff))
     return [_mzv_cache[(c, cutoff, digits)] for c in comps]
 
 
@@ -202,7 +210,7 @@ def _suffix_pass(comps, cutoff: int, digits: int) -> tuple:
     _descend; the module docstring bounds the limbs and proves the rounding
     term that B is chosen from).  A sum with no terms stays exactly 0.
     """
-    d, w = max(map(len, comps)), max(map(sum, comps))
+    d, w = max(map(len, comps), default=0), max(map(sum, comps), default=0)
     bits = (10 ** (digits + _GUARD_DIGITS) * _rounding_term(d, cutoff) * d**w).bit_length()
     nodes = {c[i:] for c in comps for i in range(len(c))}
     last = dict.fromkeys(nodes, 0) | {(): 1 << bits}  # acc at the end of the last block
@@ -282,39 +290,31 @@ def _exact_sum(c: Composition, cutoff: int) -> Fraction:
     return acc[0]
 
 
-def _support(p: Poly) -> tuple:
-    """Compositions and coefficients of p's terms in items() order: coefficients must be within
-    [2^-950, 2^950] in size (the float bound's range), then words admissible or the unit."""
-    items = p.items()
-    for _, coeff in items:
-        if not 2.0**-950 <= abs(coeff) <= 2.0**950:
-            raise DomainError(f"coefficient outside [2^-950, 2^950] in size: {coeff}")
-    check_h0(p)
-    return [_parts(w) for w, _ in items], [coeff for _, coeff in items]
+def _combination(polys: list, cutoff: int, digits: int) -> list:
+    """(X, bound, scale = D 2^B) of each poly as in the module docstring, from one pass over the
+    union of the supports, which are checked (words admissible or the unit) with the arguments first."""
+    check_args(cutoff, digits)
+    for p in polys:
+        check_h0(p)
+    terms = [[(_parts(w), q) for w, q in p.items()] for p in polys]
+    union = {c for t in terms for c, _ in t}
+    bits, sums = _suffix_pass(union, cutoff, digits)
+    err = {c: _rounding_term(len(c), cutoff) + math.ceil(_tail(c, cutoff) * (1 << bits)) for c in union}
+    out = []
+    for t in terms:
+        den = math.lcm(*(q.denominator for _, q in t))
+        ints = [(c, q.numerator * (den // q.denominator)) for c, q in t]
+        x = sum(a * sums[c] for c, a in ints)
+        out.append((x, sum(abs(a) * err[c] for c, a in ints), den << bits))
+    return out
 
 
 def zeta_of_poly(p: Poly, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT_DIGITS) -> EvalResult:
-    """Linear extension of mzv_eval; support must be admissible (unit allowed).  tail_bound
-    bounds the distance from the infinite sum, rounding included (module docstring)."""
-    comps, coeffs = _support(p)
-    return _linear_value(coeffs, mzv_eval_many(comps, cutoff, digits), cutoff, digits)
-
-
-def _linear_value(coeffs: list, results: list, cutoff: int, digits: int) -> EvalResult:
-    """The sum of coefficient times value, the coefficients paired with the values in order."""
-    total = magnitude = Decimal(0)
-    bounds = []
-    with localcontext() as ctx:
-        ctx.prec = digits + _GUARD_DIGITS
-        for coeff, r in zip(coeffs, results):
-            term = Decimal(coeff.numerator) / Decimal(coeff.denominator) * r.value
-            total += term
-            magnitude += abs(term)
-            bounds.append(abs(float(coeff)) * r.tail_bound)
-        bounds.append(float(11 * magnitude.scaleb(-digits)))  # the rounding term
-    with localcontext() as ctx:
-        ctx.prec = digits
-        return EvalResult(+total, math.fsum(bounds) * (1 + 2**-40))
+    """Linear extension of the zeta sums; support must be admissible (unit allowed).  The value
+    is X / scale rounded once, and tail_bound bounds its distance from the infinite sum."""
+    ((x, bound, scale),) = _combination([p], cutoff, digits)
+    value = _decimal(x, scale, digits)
+    return EvalResult(value, _float_above(Fraction(bound, scale) + abs(Fraction(value) - Fraction(x, scale))))
 
 
 def _check_series_args(c: Composition, k_last: int, cutoff: int) -> None:
@@ -416,19 +416,16 @@ def s_series_eval(c: Composition, k_last: int, cutoff: int = DEFAULT_ST_CUTOFF) 
 
 
 def verify(relations, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT_DIGITS) -> list:
-    """Evaluate each relation element; pass iff |residual| <= its proved tail_bound, so a
-    failure proves the relation false.  No relations at all is an error, not a vacuous pass."""
-    check_args(cutoff, digits)
+    """Decide each relation element by the integer test |X| <= bound, so a failure proves the
+    relation false.  No relations at all is an error, not a vacuous pass."""
     relations = list(relations)
     if not relations:
         raise DomainError("no relations to verify")
-    # every support is checked before the one shared pass over their union
-    supports = [_support(rel.element) for rel in relations]
-    union = list({c for comps, _ in supports for c in comps})
-    values = dict(zip(union, mzv_eval_many(union, cutoff, digits)))
     reports = []
-    for rel, (comps, coeffs) in zip(relations, supports):
-        r = _linear_value(coeffs, [values[c] for c in comps], cutoff, digits)
-        residual = abs(float(r.value))
-        reports.append(VerifyReport(rel.label(), residual, r.tail_bound, residual <= r.tail_bound))
+    for rel, (x, bound, scale) in zip(relations, _combination([r.element for r in relations], cutoff, digits)):
+        try:  # int / int rounds correctly, so it keeps the order of |X| and bound
+            residual, threshold = abs(x) / scale, bound / scale
+        except OverflowError:
+            raise DomainError(f"residual or threshold out of float range: {rel.label()}") from None
+        reports.append(VerifyReport(rel.label(), residual, threshold, abs(x) <= bound))
     return reports

@@ -141,8 +141,8 @@ def test_verify_exits_1_on_a_false_relation(monkeypatch, capsys):
         ["eval", "abc"],
         ["--out", f"{__file__}/out.txt", "eval", "(2)", "--cutoff", "10"],  # not a directory
         ["series", "--op", "phi", "--order", "-1", "x"],
-        ["eval", "(2" + ",1" * 171 + ")", "--cutoff", "10"],  # depth 172: the tail bound overflows
-        ["eval", "(1000" + ",1" * 110 + ")", "--cutoff", "3", "--precision", "5"],
+        ["eval", "(2)", "--cutoff", "4611686018427387904"],  # 2^62: no int64 limb width is left
+        ["verify", "--weight", "3", "--cutoff", "4611686018427387904"],
         # an index past sys.maxsize: refused before anything is allocated
         ["derive", "--op", "Dn", "--n", "99999999999999999999", "x"],
         *(["act", "--elem", e, "--n", "99999999999999999999", "y"] for e in ("pn", "en", "hn")),
@@ -269,12 +269,19 @@ def test_eval(capsys):
     assert obj["cutoff"] == 10000
     # depth above the cutoff: a sum with no terms is exactly 0
     code, out = run_cli(capsys, "eval", "(2,1,1,1,1)", "--cutoff", "3")
-    assert (code, out) == (0, "(2,1,1,1,1) = 0  (cutoff 3, tail <= 2.550e+00)\n")
+    assert (code, out) == (0, "(2,1,1,1,1) = 0  (cutoff 3, tail <= 2.552e+00)\n")
     code, out = run_cli(capsys, "--format", "json", "eval", "(2,1,1)", "--cutoff", "2")
     assert json.loads(out)["value"] == "0"
     # an exact tie, 559/5120 = 0.1091796875, rounds half-even
     code, out = run_cli(capsys, "eval", "(2,1,1,1)", "--cutoff", "9", "--precision", "9")
-    assert (code, out) == (0, "(2,1,1,1) = 0.109179688  (cutoff 9, tail <= 1.639e+00)\n")
+    assert (code, out) == (0, "(2,1,1,1) = 0.109179688  (cutoff 9, tail <= 1.640e+00)\n")
+    # an exact partial sum still prints digits significant digits
+    code, out = run_cli(capsys, "eval", "(2,3)", "--cutoff", "3", "--precision", "5")
+    assert (code, out) == (0, "(2,3) = 0.37500  (cutoff 3, tail <= 1.033e+00)\n")
+    # depth 172: the tail bound, about e^(1 + ln N) / N = e, is exact rational and fits a float
+    deep = "(2" + ",1" * 171 + ")"
+    code, out = run_cli(capsys, "eval", deep, "--cutoff", "10")
+    assert (code, out) == (0, f"{deep} = 0  (cutoff 10, tail <= 2.718e+00)\n")
 
 
 # one command per key of each CLI dispatch table, so that every entry is reached

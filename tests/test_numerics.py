@@ -1,6 +1,7 @@
 from dataclasses import asdict
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
+import math
 import tracemalloc
 from unittest import mock
 
@@ -105,6 +106,18 @@ def test_tail_bound_survives_float_underflow():
     for c in ((100,), (80,)):
         bound = mzv_eval(c, 10**4).tail_bound
         assert bound > 0 and mpmath.mpf(bound) >= mpmath.zeta(c[0], 10**4 + 1), c
+
+
+def test_depth_above_the_cutoff_has_a_tail_bound():
+    # the partial sum is 0, and zeta(2, {1}^171) = zeta(173) by duality
+    r = mzv_eval((2,) + (1,) * 171, 10)
+    assert r.value == 0 and mpmath.mpf(r.tail_bound) >= mpmath.zeta(173)
+
+
+def test_large_first_part_over_ones_has_a_tail_bound():
+    # 1/N^999 over a long tail of ones: the bound stays a positive float, with no overflow
+    r = mzv_eval((1000,) + (1,) * 110, 3, 5)
+    assert r.value == 0 and r.tail_bound > 0
 
 
 def test_tail_bound_shape():
@@ -338,7 +351,7 @@ def _reference_sum(c, cutoff, digits):
     """
     with localcontext() as ctx:
         ctx.prec = digits + numerics._GUARD_DIGITS
-        one = Decimal(1)
+        one = Decimal(10 ** (ctx.prec - 1)).scaleb(1 - ctx.prec)  # 1 with prec digits, kept when exact
         acc = [Decimal(0)] * len(c) + [one]
         for n in range(1, cutoff + 1):
             inv = one / n
@@ -366,6 +379,7 @@ _UP_TO_8 = [()] + [c for w in range(2, 9) for c in admissible_compositions(w)]
 @example([], [(2, 1, 1, 1)], 9, 9)  # 559/5120 = 0.1091796875
 @example([(4, 1, 1, 2)], [], 5, 6)  # 0.001284375
 @example([(5, 1, 1, 1)], [], 5, 7)  # 0.00029609375
+@example([], [(2, 3)], 3, 5)  # an exact quotient, 3/8, still prints digits digits: 0.37500
 def test_shared_pass_matches_per_composition_loop(comps, cached, cutoff, digits):
     # duplicates, the unit and compositions cached beforehand all go through one call
     with mock.patch.dict(numerics._mzv_cache, clear=True):
@@ -401,19 +415,21 @@ def test_verify_makes_one_pass_over_the_support_union(monkeypatch):
     union = {composition_of(w) for r in rels for w, _ in r.element.items()}
     reports = verify(rels, cutoff=200)
     assert len(reports) == len(rels)
-    assert len(calls) == 1
-    assert len(numerics._mzv_cache) == len(union)
+    assert len(calls) == 1 and set(calls[0][0]) == union
+    assert numerics._mzv_cache == {}  # verify reads the pass's integers, not the rounded values
 
 
-def test_verify_reports_the_value_of_zeta_of_poly(monkeypatch):
+def test_verify_reports_the_value_of_zeta_of_poly():
     rels = [r for w in range(2, 7) for r in generate(w)]
-    monkeypatch.setattr(numerics, "_mzv_cache", {})
-    values = [zeta_of_poly(r.element, 500) for r in rels]
-    monkeypatch.setattr(numerics, "_mzv_cache", {})
     reports = verify(rels, cutoff=500)
-    assert [(rep.residual, rep.threshold) for rep in reports] == [
-        (abs(float(v.value)), v.tail_bound) for v in values
-    ]
+    for rel, rep in zip(rels, reports):
+        z = zeta_of_poly(rel.element, 500)
+        ((x, bound, scale),) = numerics._combination([rel.element], 500, numerics.DEFAULT_DIGITS)
+        assert rep.residual == pytest.approx(abs(float(z.value)), rel=1e-15)
+        assert rep.threshold <= z.tail_bound
+        assert rep.passed == (abs(x) <= bound)
+        # correctly rounded quotients keep the integer test's order
+        assert rep.residual == abs(x) / scale and rep.threshold == bound / scale
 
 
 @pytest.mark.parametrize("digits", [3, 5, 8, 12])
@@ -592,6 +608,36 @@ def test_verify_all_families_small_weights():
     rels = [r for w in range(3, 5) for r in generate(w)]
     reports = verify(rels, cutoff=10**5)
     assert reports and all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 7, 40])
+@pytest.mark.parametrize("digits", [1, 12])
+def test_true_relations_pass_at_tiny_cutoffs(cutoff, digits):
+    # depths above N sum to exactly 0 and the tails are most of each value, at one digit as well
+    reports = verify([r for w in range(2, 7) for r in generate(w)], cutoff=cutoff, digits=digits)
+    assert [rep for rep in reports if not rep.passed] == []
+
+
+@pytest.mark.parametrize("digits", [1, 2])
+def test_corrupted_relation_fails_at_any_precision(digits):
+    # the integer test has no rounding term in 10^-digits, so one digit refutes it too (30: below)
+    bad = Relation(Poly({"xxy": 2, "xyy": -1}), 3, "duality", (("source", "xxy"),))
+    (report,) = verify([bad], cutoff=10**4, digits=digits)
+    assert not report.passed and report.residual > report.threshold
+
+
+@pytest.mark.parametrize("cutoff", [10, 4096, 10**4])
+def test_tail_bound_is_the_least_float_above_the_rational_tail(cutoff):
+    for c in ((2, 1), (3, 1, 2), (100,)):
+        exact = numerics._tail(c, cutoff)
+        bound = mzv_tail_bound(c, cutoff)
+        assert bound >= exact and math.nextafter(bound, 0.0) < exact, c
+        # with 1 + ln N at 60 digits the formula is at most the rational tail, and close to it
+        with mpmath.workdps(60):
+            log_n, a, l = 1 + mpmath.log(cutoff), c[0] - 1, len(c)
+            tail = sum(log_n**j / (mpmath.factorial(j) * a ** (l - j)) for j in range(l)) / mpmath.mpf(cutoff) ** a
+            ratio = mpmath.mpf(exact.numerator) / exact.denominator / tail
+            assert 1 - mpmath.mpf(10) ** -50 <= ratio <= 1.001, c
 
 
 def test_verify_corrupted_relation_fails():
