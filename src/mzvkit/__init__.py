@@ -72,7 +72,6 @@ from .numerics import (
     EvalResult,
     VerifyReport,
     mzv_eval,
-    mzv_eval_many,
     mzv_tail_bound,
     s_series_eval,
     t_series_eval,

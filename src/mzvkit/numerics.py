@@ -170,32 +170,23 @@ def _decimal(num: int, den: int, digits: int) -> Decimal:
 
 
 def mzv_eval(c: Composition, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT_DIGITS) -> EvalResult:
-    """Truncated zeta value of an admissible composition: mzv_eval_many of one."""
-    return mzv_eval_many([c], cutoff, digits)[0]
-
-
-def mzv_eval_many(comps, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT_DIGITS) -> list:
-    """Truncated zeta values of admissible compositions, in order, from one shared pass.
+    """Truncated zeta value of an admissible composition, correctly rounded to digits.
 
     The empty composition is the unit and evaluates to exactly 1.  Results
-    are memoized on (composition, cutoff, digits).  Every composition is
-    checked before any work.
+    are memoized on (composition, cutoff, digits).
     """
-    comps = [tuple(c) for c in comps]
-    for c in comps:
-        _check_composition(c)
+    c = tuple(c)
+    _check_composition(c)
     check_args(cutoff, digits)
-    todo = {c for c in comps if (c, cutoff, digits) not in _mzv_cache}
-    if todo:
-        bits, sums = _suffix_pass(todo, cutoff, digits)
-        for c in todo:
-            s = sums[c]
-            value = _decimal(s, 1 << bits, digits)
-            if value != _decimal(s + _rounding_term(len(c), cutoff), 1 << bits, digits):
-                exact = _exact_sum(c, cutoff)  # a half-way point lies in the enclosure
-                value = _decimal(exact.numerator, exact.denominator, digits)
-            _mzv_cache[(c, cutoff, digits)] = EvalResult(value, mzv_tail_bound(c, cutoff))
-    return [_mzv_cache[(c, cutoff, digits)] for c in comps]
+    key = (c, cutoff, digits)
+    if key not in _mzv_cache:
+        bits, sums = _suffix_pass([c], cutoff, digits)
+        value = _decimal(sums[c], 1 << bits, digits)
+        if value != _decimal(sums[c] + _rounding_term(len(c), cutoff), 1 << bits, digits):
+            exact = _exact_sum(c, cutoff)  # a half-way point lies in the enclosure
+            value = _decimal(exact.numerator, exact.denominator, digits)
+        _mzv_cache[key] = EvalResult(value, mzv_tail_bound(c, cutoff))
+    return _mzv_cache[key]
 
 
 def _suffix_pass(comps, cutoff: int, digits: int) -> tuple:

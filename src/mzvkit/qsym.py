@@ -35,7 +35,6 @@ from typing import Mapping
 
 from .derivations import derivation_Dn, ihara_kaneko
 from .words import (
-    DomainError,
     Poly,
     Word,
     X,
@@ -108,8 +107,8 @@ def complete_h(n: int) -> Poly:
 class TruncatedSeries:
     """Polynomial in t of bounded degree with Poly coefficients.
 
-    All arithmetic truncates uniformly at the fixed order; two series compare
-    equal only at the same order.
+    Coefficients past the fixed order are dropped; two series compare equal
+    only at the same order.
     """
 
     __slots__ = ("_coeffs", "order")
@@ -130,30 +129,6 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self.order == other.order and self._coeffs == other._coeffs
-
-    def __add__(self, other):
-        self._check(other)
-        return _series_sum(
-            ((k, p) for s in (self, other) for k, p in s._coeffs.items()), self.order
-        )
-
-    def __mul__(self, other):
-        self._check(other)
-        return _series_sum(
-            (
-                (i + j, p * q)
-                for i, p in self._coeffs.items()
-                for j, q in other._coeffs.items()
-                if i + j <= self.order
-            ),
-            self.order,
-        )
-
-    def _check(self, other):
-        if not isinstance(other, TruncatedSeries):  # a scalar too: scale the coefficients instead
-            raise TypeError(f"not a TruncatedSeries: {other!r}")
-        if self.order != other.order:
-            raise DomainError(f"truncation orders differ: {self.order} != {other.order}")
 
     def __repr__(self):
         body = "; ".join(f"t^{k}: {p}" for k, p in self.items())

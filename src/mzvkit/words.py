@@ -167,14 +167,13 @@ class Poly:
             raise DomainError(f"Poly takes a mapping of words to coefficients: {terms!r}")
         acc: dict = {}
         for w, c in (terms or {}).items():
-            _add_into(acc, Poly.word(w, c))
+            _add_into(acc, _raw({check_word(w): _coeff(c)}))
         self._terms = acc
 
     @classmethod
-    def word(cls, w: Word, coeff=1) -> "Poly":
-        check_word(w)
-        c = _coeff(coeff)
-        return _raw({w: c} if c else {})
+    def word(cls, w: Word) -> "Poly":
+        """The word w with coefficient 1."""
+        return _raw({check_word(w): 1})
 
     def items(self) -> list:
         """Terms as (word, coefficient) pairs in graded-lex order."""

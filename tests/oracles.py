@@ -53,16 +53,16 @@ def cyclic_C_bar_zform(w):
 def exp_reference(der_of_index, p, order):
     """exp(sum_n t^n d_n / n) p, term by term: the m-th term of the exponential
     is the operator applied to the (m-1)-th, divided by m."""
-    term = total = TruncatedSeries({0: Poly.word(p)}, order)
+    term = total = {0: Poly.word(p)}
     for m in range(1, order + 1):
         out = {}
         for k, q in term.items():
             for n in range(1, order - k + 1):
                 image = der_of_index(n).apply(q).scale(Fraction(1, n * m))
                 out[k + n] = out.get(k + n, Poly()) + image
-        term = TruncatedSeries(out, order)
-        total = total + term
-    return total
+        term = out
+        total = {k: total.get(k, Poly()) + term.get(k, Poly()) for k in total | term}
+    return TruncatedSeries(total, order)
 
 
 def reference_span(rows, probe):

@@ -1,5 +1,5 @@
 """Every name a module imports is used in that module, and every private
-top-level name of the package is used outside its own definition."""
+top-level name and class member of the package is used outside its own definition."""
 
 import ast
 from pathlib import Path
@@ -38,11 +38,13 @@ def test_every_import_is_used(path):
 
 
 def unused_private(sources: list) -> list:
-    """Private top-level names of the sources that nothing outside their own definition uses."""
+    """Private top-level names and class members of the sources that nothing outside their own
+    definition uses."""
     trees = [ast.parse(source) for source in sources]
     defined = []  # (name, the definition's nodes)
     for tree in trees:
-        for node in tree.body:
+        members = [m for node in tree.body if isinstance(node, ast.ClassDef) for m in node.body]
+        for node in tree.body + members:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -66,8 +68,10 @@ def test_unused_private_names_are_found():
     sources = [
         "__all__ = []\n_A = 1\n_B = _A\ndef _f(n):\n    return _f(n - 1)\n",
         "from m import _g\ndef _g(): pass\nclass _C: pass\nx = _C\n",
+        "class D:\n    _k = 0\n    def __len__(self): return self._n()\n    def _n(self): return self._k\n"
+        "    def _check(self, other): return self._check(other)\n",
     ]
-    assert unused_private(sources) == ["_B", "_f"]
+    assert unused_private(sources) == ["_B", "_f", "_check"]
 
 
 def test_every_private_name_is_used():

@@ -14,7 +14,6 @@ import mzvkit.numerics as numerics
 from mzvkit.derivations import conjugate, derivation_D
 from mzvkit.numerics import (
     mzv_eval,
-    mzv_eval_many,
     mzv_tail_bound,
     s_series_eval,
     t_series_eval,
@@ -381,12 +380,11 @@ _UP_TO_8 = [()] + [c for w in range(2, 9) for c in admissible_compositions(w)]
 @example([(5, 1, 1, 1)], [], 5, 7)  # 0.00029609375
 @example([], [(2, 3)], 3, 5)  # an exact quotient, 3/8, still prints digits digits: 0.37500
 def test_shared_pass_matches_per_composition_loop(comps, cached, cutoff, digits):
-    # duplicates, the unit and compositions cached beforehand all go through one call
+    # comps may repeat and hold the unit; the cached ones are evaluated once beforehand
     with mock.patch.dict(numerics._mzv_cache, clear=True):
         for c in cached:
             mzv_eval(c, cutoff, digits)
-        got = mzv_eval_many(comps + cached, cutoff, digits)
-    assert len(got) == len(comps) + len(cached)
+        got = [mzv_eval(c, cutoff, digits) for c in comps + cached]
     for c, r in zip(comps + cached, got):
         if len(c) > cutoff:
             assert str(r.value) == "0", c
@@ -430,6 +428,31 @@ def test_verify_reports_the_value_of_zeta_of_poly():
         assert rep.passed == (abs(x) <= bound)
         # correctly rounded quotients keep the integer test's order
         assert rep.residual == abs(x) / scale and rep.threshold == bound / scale
+
+
+@pytest.mark.parametrize("digits", [1, 30])
+def test_combination_bound_counts_each_shortfall_and_tail(digits):
+    # R_i / 2^B is far below every tail, so only the exact integers show a dropped rounding term
+    polys = [
+        Poly({"xy": 1}),
+        Poly({"xxyy": 1}),
+        Poly({"xxy": 1, "xyy": -1}),
+        Poly({"xxyy": Fraction(3, 4), "xyxy": -2}),
+    ]
+    for cutoff in range(1, 41):
+        for p in polys:
+            ((x, bound, scale),) = numerics._combination([p], cutoff, digits)
+            terms = [(composition_of(w), q) for w, q in p.items()]
+            bits, sums = numerics._suffix_pass([c for c, _ in terms], cutoff, digits)
+            den = math.lcm(*(q.denominator for _, q in terms))
+            a = [(c, int(q * den)) for c, q in terms]
+            assert scale == den << bits
+            assert x == sum(ai * sums[c] for c, ai in a)
+            err = {
+                c: numerics._rounding_term(len(c), cutoff) + math.ceil(numerics._tail(c, cutoff) * 2**bits)
+                for c, _ in a
+            }
+            assert bound == sum(abs(ai) * err[c] for c, ai in a)
 
 
 @pytest.mark.parametrize("digits", [3, 5, 8, 12])

@@ -210,7 +210,7 @@ def test_normalize():
     # graded-lex leading term is xy, whose sign is flipped positive
     assert q == Poly({"xy": 1, "xxy": -2})
     assert normalize(Poly()) == Poly()
-    assert normalize(Poly.word("xy", Fraction(1, 7))) == Poly.word("xy")
+    assert normalize(Poly({"xy": Fraction(1, 7)})) == Poly.word("xy")
 
 
 @pytest.mark.parametrize(
