@@ -58,7 +58,9 @@ class Derivation:
 def _apply_word(d: Derivation, w: Word) -> Poly:
     acc: dict = {}
     for i, a in enumerate(w):
-        _add_into(acc, _between(w[:i], d.image_of_x if a == X else d.image_of_y, w[i + 1 :]))
+        image = d.image_of_x if a == X else d.image_of_y
+        if image:  # D and D_n send x to 0
+            _add_into(acc, _between(w[:i], image, w[i + 1 :]))
     return _raw(acc)
 
 

@@ -145,11 +145,18 @@ def mzv_tail_bound(c: Composition, cutoff: int) -> float:
     return _float_above(_tail(c, cutoff))
 
 
-def _tail(c: Composition, cutoff: int) -> Fraction:
-    """tail(N) of the module docstring, N = cutoff, with 1 + ln N raised to its rational bound."""
+def _log_bound(cutoff: int) -> Fraction:
+    """The rational bound on 1 + ln N of the module docstring, N = cutoff."""
     e = cutoff.bit_length() - 1
     x = Fraction(cutoff, 1 << e)
-    log_n = 1 + Fraction(693148, 10**6) * e + (x - 1) * (x + 5) / (4 * x + 2)
+    return 1 + Fraction(693148, 10**6) * e + (x - 1) * (x + 5) / (4 * x + 2)
+
+
+def _tail(c: Composition, cutoff: int, log_n: Fraction | None = None) -> Fraction:
+    """tail(N) of the module docstring, N = cutoff, with 1 + ln N raised to log_n, by default
+    _log_bound(cutoff).  It depends on c only through its first part and its depth."""
+    if log_n is None:
+        log_n = _log_bound(cutoff)
     a = c[0] - 1 if c else 0  # the unit has no tail: the sum is empty
     return Fraction(sum(log_n**j / (math.factorial(j) * a ** (len(c) - j)) for j in range(len(c))), cutoff**a)
 
@@ -290,7 +297,10 @@ def _combination(polys: list, cutoff: int, digits: int) -> list:
     terms = [[(_parts(w), q) for w, q in p.items()] for p in polys]
     union = {c for t in terms for c, _ in t}
     bits, sums = _suffix_pass(union, cutoff, digits)
-    err = {c: _rounding_term(len(c), cutoff) + math.ceil(_tail(c, cutoff) * (1 << bits)) for c in union}
+    log_n = _log_bound(cutoff)
+    reps = {(c[:1], len(c)): c for c in union}  # one composition per first part and depth
+    tails = {key: math.ceil(_tail(c, cutoff, log_n) * (1 << bits)) for key, c in reps.items()}
+    err = {c: _rounding_term(len(c), cutoff) + tails[c[:1], len(c)] for c in union}
     out = []
     for t in terms:
         den = math.lcm(*(q.denominator for _, q in t))

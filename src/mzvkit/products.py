@@ -14,22 +14,29 @@ The harmonic (stuffle) product models multiplication of nested series:
       + x^(q-1) y (x^(p-1) y w1 * w2)
       + x^(p+q-1) y (w1 * w2).
 
-Both recursions are memoized on word pairs; Poly inputs extend bilinearly.
+Both recursions are memoized on word pairs, and two words get their image
+back shared; Poly inputs extend bilinearly.  The kernels sum only images
+that can share a word.  a (...) and b (...) are disjoint unless a = b, and
+the harmonic images start with z_p, z_q and z_(p+q) (z_k = x^(k-1) y), so
+only the first two can meet, when p = q.  Such images are summed before
+their common prefix is put on; the others are joined by one dict union.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .words import Poly, Word, X, Y, _add_into, _between, _raw, as_poly, bilinear, check_h0
+from .words import Poly, Word, X, Y, _between, _raw, as_poly, bilinear, check_h0
 
 
 @lru_cache(maxsize=None)
 def _shuffle_words(u: Word, v: Word) -> Poly:
     if not u or not v:
         return _raw({u + v: 1})
-    acc = _add_into({}, _between(u[0], _shuffle_words(u[1:], v)))
-    return _raw(_add_into(acc, _between(v[0], _shuffle_words(u, v[1:]))))
+    left, right = _shuffle_words(u[1:], v), _shuffle_words(u, v[1:])
+    if u[0] == v[0]:
+        return _between(u[0], left + right)
+    return _raw(_between(u[0], left)._terms | _between(v[0], right)._terms)
 
 
 @lru_cache(maxsize=None)
@@ -42,9 +49,12 @@ def _harmonic_words(u: Word, v: Word) -> Poly:
     q = v.index(Y)
     u1 = u[p + 1 :]
     v1 = v[q + 1 :]
-    acc = _add_into({}, _between(u[: p + 1], _harmonic_words(u1, v)))
-    _add_into(acc, _between(v[: q + 1], _harmonic_words(u, v1)))
-    return _raw(_add_into(acc, _between(X * (p + q + 1) + Y, _harmonic_words(u1, v1))))
+    left, right = _harmonic_words(u1, v), _harmonic_words(u, v1)
+    if p == q:
+        head = _between(u[: p + 1], left + right)._terms
+    else:
+        head = _between(u[: p + 1], left)._terms | _between(v[: q + 1], right)._terms
+    return _raw(head | _between(X * (p + q + 1) + Y, _harmonic_words(u1, v1))._terms)
 
 
 def shuffle(u, v) -> Poly:

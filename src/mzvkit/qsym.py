@@ -33,7 +33,7 @@ from functools import lru_cache
 from math import factorial, perm
 from typing import Mapping
 
-from .derivations import derivation_Dn, ihara_kaneko
+from .derivations import _apply_word, derivation_Dn, ihara_kaneko
 from .words import (
     Poly,
     Word,
@@ -73,14 +73,14 @@ def _act_word(u: Word, w: Word) -> Poly:
     if w[0] == X:
         return _between(X, _act_word(u, w[1:]))
     k = u.index(Y) + 1  # u = z_k u1
-    acc = _add_into({}, _between(Y, _act_word(u, w[1:])))
-    return _raw(_add_into(acc, _between(X + u[:k], _act_word(u[k:], w[1:]))))
+    head_y = _between(Y, _act_word(u, w[1:]))
+    head_x = _between(X + u[:k], _act_word(u[k:], w[1:]))
+    return _raw(head_y._terms | head_x._terms)  # disjoint images: one dict union
 
 
 def act(u, w) -> Poly:
     """Action of an element of the y-ending subalgebra on an arbitrary Poly."""
-    u = as_poly(u)
-    for uw in u._terms:  # DomainError on a term of u outside the subalgebra, even when w is 0
+    for uw in as_poly(u)._terms:  # DomainError on a term of u outside the subalgebra, even when w is 0
         check_h1(uw)
     return bilinear(_act_word, u, w)
 
@@ -191,7 +191,9 @@ def _exp_graded_derivation(der_of_index, p: Poly, order: int) -> TruncatedSeries
     for m in range(1, order + 1):
         acc: dict = {}
         for n in range(1, m + 1):
-            _add_into(acc, der_of_index(n).apply(f[m - n]), perm(m - 1, n - 1))
+            d, k = der_of_index(n), perm(m - 1, n - 1)
+            for w, c in f[m - n]._terms.items():  # d_n F_(m-n), term by term
+                _add_into(acc, _apply_word(d, w), k * c)
         f.append(_raw(acc))
     return TruncatedSeries(
         {m: fm.scale(Fraction(1, factorial(m))) for m, fm in enumerate(f)}, order

@@ -8,13 +8,16 @@ algebra off the slow Fraction path.  Compositions -- tuples of positive
 integers -- give the exponent view of words ending in y through the bijection
 (k1, ..., kl) <-> x^(k1-1) y x^(k2-1) y ... x^(kl-1) y.
 
-A Poly is immutable after construction.
-Word maps are extended to Polys by `linear` and `bilinear`, which sum into
-one internal mutable term dict (`_add_into`) and wrap it as a Poly only when
-the sum is complete; the Poly constructor and Poly's `+`, `-` and `*` use
-the same accumulator, the only code that sums coefficients.  The memoized
-word kernels build images from sub-results by `_between` (p relabelled as
-a p b) and `_add_into`; words are validated once, where they enter, never sorted.
+A Poly is immutable after construction, so images are shared, never copied.
+Word maps are extended to Polys by `linear` and `bilinear`: a checked word
+gets its (often memoized) image back itself, and a Poly's images are summed
+into one mutable term dict, wrapped as a Poly once complete.  `_add_into`,
+used there and by the Poly constructor, `+`, `-`, `*` and the kernels, is
+the only code that sums coefficients (`cyclic_C_pair` counts rotations).
+The memoized word kernels build images from sub-results by `_between` (p
+relabelled as a p b) and join images that share no word, such as those
+starting with different letters, by one dict union.  Words are validated
+once, where they enter, never sorted.
 Term order is graded lexicographic with x < y, which fixes all printed and
 serialized output.
 """
@@ -202,7 +205,9 @@ class Poly:
         return _raw(_add_into(dict(self._terms), other))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return _raw(_add_into(dict(self._terms), other, -1))
 
     def __neg__(self) -> "Poly":
         return _raw({w: -c for w, c in self._terms.items()})
@@ -279,12 +284,16 @@ def _add_into(acc: dict, p: Poly, c=1) -> dict:
 
 
 def linear(word_fn, p) -> Poly:
-    """Extend word_fn, a map from words to Polys, linearly to p (a Poly or a word)."""
+    """Extend word_fn, a map from words to Polys, linearly to p; a word's image comes back shared."""
+    if type(p) is str:
+        return word_fn(check_word(p))
     return _combine([(word_fn(w), c) for w, c in as_poly(p)._terms.items()])
 
 
 def bilinear(word_fn, u, v) -> Poly:
-    """Extend word_fn, a map from word pairs to Polys, bilinearly to u and v."""
+    """Extend word_fn, a map from word pairs to Polys, bilinearly to u and v, as linear does."""
+    if type(u) is str and type(v) is str:
+        return word_fn(check_word(u), check_word(v))
     tu, tv = as_poly(u)._terms.items(), as_poly(v)._terms.items()
     return _combine([(word_fn(wu, wv), cu * cv) for wu, cu in tu for wv, cv in tv])
 

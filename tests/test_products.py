@@ -117,15 +117,21 @@ def test_harmonic_frozen_examples():
 
 
 def test_harmonic_matches_stuffle_oracle_on_compositions():
-    for wa in range(1, 5):
-        for wb in range(1, 9 - wa):
-            for a in map(composition_of, (w for w in all_words(wa) if w.endswith("y"))):
-                for b in map(composition_of, (w for w in all_words(wb) if w.endswith("y"))):
-                    got = harmonic(word_of(a), word_of(b))
+    # a trailing x-run rides along: U x^a * V x^b = (U * V) x^(a+b) for y-ending U, V.  This
+    # covers units, words ending in x and equal first z-letters (the p = q branch) to weight 8.
+    def split(w):
+        head = w.rstrip("x")
+        return composition_of(head), len(w) - len(head)
+
+    for n in range(9):
+        for a in range(n + 1):
+            for u in all_words(a):
+                for v in all_words(n - a):
+                    (cu, xu), (cv, xv) = split(u), split(v)
                     expected = Counter(
-                        {word_of(c): m for c, m in stuffle_oracle(a, b).items()}
+                        {word_of(c) + "x" * (xu + xv): m for c, m in stuffle_oracle(cu, cv).items()}
                     )
-                    assert as_counter(got) == expected
+                    assert as_counter(harmonic(u, v)) == expected, (u, v)
 
 
 def test_harmonic_composition_recursion():

@@ -3,9 +3,9 @@ from fractions import Fraction
 from hypothesis import example, given, strategies as st
 
 import mzvkit
-from mzvkit.derivations import derivation_D
+from mzvkit.derivations import cyclic_C, derivation_D
 from mzvkit.products import harmonic, shuffle
-from mzvkit.qsym import act, phi_bar_sigma
+from mzvkit.qsym import act, phi_bar_sigma, sigma_t_exp
 from mzvkit.words import (
     DomainError,
     Poly,
@@ -91,8 +91,32 @@ def test_shared_word_image_is_never_mutated(name):
     linear(lambda w: p, Poly({"x": 1, "y": -1}))
     bilinear(lambda u, v: p, Poly({"x": 1, "y": 2}), "x")
     phi_bar_sigma(p, 2)  # series accumulation (_series_sum)
+    sigma_t_exp(p, 2)  # and the derivation images' accumulation
     assert dict(p.items()) == before
     assert image() is p
+
+
+# each word map with valid word arguments; the maps of two arguments take a word in either place
+WORD_MAPS = {
+    "shuffle": (shuffle, ("xy", "yxy")),
+    "harmonic": (harmonic, ("xy", "yxy")),
+    "act": (act, ("xy", "yxy")),
+    "Derivation.apply": (derivation_D().apply, ("xxyy",)),
+    "cyclic_C": (cyclic_C, ("xyxyy",)),
+}
+
+
+@pytest.mark.parametrize("name", WORD_MAPS)
+def test_word_maps_take_a_word_as_its_one_term_poly(name):
+    fn, args = WORD_MAPS[name]
+    expected = fn(*args)
+    assert expected
+    assert fn(*map(Poly.word, args)) == expected
+    for i in range(len(args)):
+        assert fn(*args[:i], Poly.word(args[i]), *args[i + 1 :]) == expected
+        for bad in ("xyz", "1", 3, None, ["x"]):  # a non-word str, or neither a str nor a Poly
+            with pytest.raises(DomainError):
+                fn(*args[:i], bad, *args[i + 1 :])
 
 
 def test_weight_length_examples():
