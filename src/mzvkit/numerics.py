@@ -83,8 +83,8 @@ from .words import (
     Composition,
     DomainError,
     Poly,
-    _is_int,
     _parts,
+    check_composition,
     check_h0,
     check_int,
     is_admissible_composition,
@@ -130,17 +130,17 @@ def check_args(cutoff: int, digits: int = DEFAULT_DIGITS) -> None:
     check_int(digits, 1, "precision")
 
 
-def _check_composition(c: Composition) -> None:
-    """Reject a composition that is neither empty nor admissible with integer parts."""
-    if not all(map(_is_int, c)):
-        raise DomainError(f"composition parts must be integers: {c}")
+def _check_composition(c) -> Composition:
+    """check_composition(c), after rejecting a composition that is neither empty nor admissible."""
+    c = check_composition(c)
     if c and not is_admissible_composition(c):
         raise DomainError(f"composition is not admissible (series diverges): {c}")
+    return c
 
 
 def mzv_tail_bound(c: Composition, cutoff: int) -> float:
     """The least float >= _tail(c, cutoff): bounds the terms with n1 > cutoff, not rounding."""
-    _check_composition(c)
+    c = _check_composition(c)
     check_args(cutoff)
     return _float_above(_tail(c, cutoff))
 
@@ -182,8 +182,7 @@ def mzv_eval(c: Composition, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT
     The empty composition is the unit and evaluates to exactly 1.  Results
     are memoized on (composition, cutoff, digits).
     """
-    c = tuple(c)
-    _check_composition(c)
+    c = _check_composition(c)
     check_args(cutoff, digits)
     key = (c, cutoff, digits)
     if key not in _mzv_cache:
@@ -192,7 +191,7 @@ def mzv_eval(c: Composition, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT
         if value != _decimal(sums[c] + _rounding_term(len(c), cutoff), 1 << bits, digits):
             exact = _exact_sum(c, cutoff)  # a half-way point lies in the enclosure
             value = _decimal(exact.numerator, exact.denominator, digits)
-        _mzv_cache[key] = EvalResult(value, mzv_tail_bound(c, cutoff))
+        _mzv_cache[key] = EvalResult(value, _float_above(_tail(c, cutoff)))
     return _mzv_cache[key]
 
 
@@ -318,14 +317,16 @@ def zeta_of_poly(p: Poly, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT_DI
     return EvalResult(value, _float_above(Fraction(bound, scale) + abs(Fraction(value) - Fraction(x, scale))))
 
 
-def _check_series_args(c: Composition, k_last: int, cutoff: int) -> None:
-    """T(c) is checked as S(c, 0): both diverge unless some exponent exceeds 1."""
-    if not c or not all(_is_int(k) and k >= 1 for k in c):
-        raise DomainError(f"series arguments must be positive integers: {c}")
+def _check_series_args(c, k_last: int, cutoff: int) -> Composition:
+    """check_composition(c) if the series is defined: T(c) is S(c, 0), and both need c nonempty."""
+    c = check_composition(c)
+    if not c:
+        raise DomainError("the series of the empty composition is undefined")
     check_int(k_last, 0, "last exponent")
     if max(c) < 2 and k_last < 1:
         raise DomainError(f"series diverges: {c} with last exponent {k_last}")
     check_args(cutoff)
+    return c
 
 
 def _inv_powers(N: int, k: int) -> np.ndarray:
@@ -404,15 +405,13 @@ def _gap_convolve(x: np.ndarray, inv_gap: np.ndarray, N: int) -> np.ndarray:
 
 def t_series_eval(c: Composition, cutoff: int = DEFAULT_ST_CUTOFF) -> EvalResult:
     """Coupled series with factor 1/(n1 - j), innermost index j >= 0; some argument must exceed 1."""
-    c = tuple(c)
-    _check_series_args(c, 0, cutoff)
+    c = _check_series_args(c, 0, cutoff)
     return _chain_sum(c, np.ones(cutoff), cutoff)
 
 
 def s_series_eval(c: Composition, k_last: int, cutoff: int = DEFAULT_ST_CUTOFF) -> EvalResult:
     """Coupled series with innermost index j >= 1 carrying exponent k_last >= 0."""
-    c = tuple(c)
-    _check_series_args(c, k_last, cutoff)
+    c = _check_series_args(c, k_last, cutoff)
     return _chain_sum(c, _inv_powers(cutoff - 1, k_last), cutoff)
 
 

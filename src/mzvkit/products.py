@@ -73,8 +73,6 @@ def double_shuffle(u, v) -> Poly:
     Both inputs must be supported on admissible words (or the unit), where
     the zeta evaluation is defined; the result lies in its kernel.
     """
-    u = as_poly(u)
-    v = as_poly(v)
-    check_h0(u)
-    check_h0(v)
+    check_h0(as_poly(u))
+    check_h0(as_poly(v))
     return shuffle(u, v) - harmonic(u, v)

@@ -229,19 +229,15 @@ class RowSpace:
 
     def add(self, poly: Poly) -> bool:
         """Insert a Poly; True if it enlarged the span, False if the span already held it."""
-        entries = {}
+        coeffs = poly._terms.values()
+        den = 1 if all(type(c) is int for c in coeffs) else lcm(*(c.denominator for c in coeffs))
+        v = [0] * len(self.column)
         for w, c in poly._terms.items():  # no order needed
             j = self.column.get(w)
             if j is None:
                 raise DomainError(f"word outside the basis: {w!r}")
-            entries[j] = c
-        if any(type(c) is not int for c in entries.values()):  # clear denominators
-            den = lcm(*(c.denominator for c in entries.values()))
-            entries = {j: c.numerator * (den // c.denominator) for j, c in entries.items()}
-        v = [0] * len(self.column)
-        for j, c in entries.items():
-            v[j] = c
-        for p in range(min(entries, default=0), len(v)):  # columns before the first term are 0
+            v[j] = c.numerator * (den // c.denominator)
+        for p in range(len(v)):
             if not v[p]:
                 continue
             row = self.rows.get(p)

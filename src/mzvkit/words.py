@@ -4,16 +4,18 @@ A word is a plain string over "xy"; the empty string is the multiplicative
 unit.  A Poly is a finite linear combination of words with exact rational
 coefficients in canonical form: an int when integral, else a Fraction, never
 zero.  Both compare, hash and print alike; ints keep the mostly integral word
-algebra off the slow Fraction path.  Compositions -- tuples of positive
-integers -- give the exponent view of words ending in y through the bijection
-(k1, ..., kl) <-> x^(k1-1) y x^(k2-1) y ... x^(kl-1) y.
+algebra off the slow Fraction path.  A coefficient given to the library is an
+int (not a bool) or a Fraction; strings, floats, Decimals and numpy numbers
+are a DomainError.  Compositions -- tuples of positive integers, given as any
+iterable of ints >= 1 -- give the exponent view of words ending in y through
+the bijection (k1, ..., kl) <-> x^(k1-1) y x^(k2-1) y ... x^(kl-1) y.
 
 A Poly is immutable after construction, so images are shared, never copied.
 Word maps are extended to Polys by `linear` and `bilinear`: a checked word
 gets its (often memoized) image back itself, and a Poly's images are summed
 into one mutable term dict, wrapped as a Poly once complete.  `_add_into`,
-used there and by the Poly constructor, `+`, `-`, `*` and the kernels, is
-the only code that sums coefficients (`cyclic_C_pair` counts rotations).
+used there and by `+`, `-`, `*` and the kernels, is the only code that sums
+coefficients (`cyclic_C_pair` counts rotations).
 The memoized word kernels build images from sub-results by `_between` (p
 relabelled as a p b) and join images that share no word, such as those
 starting with different letters, by one dict union.  Words are validated
@@ -51,13 +53,9 @@ def check_word(w: Word) -> Word:
     return w
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def check_int(n, least: int, what: str) -> int:
     """n itself if it is an int (not a bool) >= least; otherwise DomainError."""
-    if not _is_int(n) or n < least:
+    if not isinstance(n, int) or isinstance(n, bool) or n < least:
         raise DomainError(f"{what} must be an integer >= {least}: {n!r}")
     return n
 
@@ -92,11 +90,14 @@ def check_h0(p: "Poly") -> None:
         raise DomainError(f"word is not admissible: {min(bad, key=_term_key)!r}")
 
 
+def check_composition(c) -> Composition:
+    """The parts of the iterable c as a tuple, each checked to be an int (not a bool) >= 1."""
+    return tuple(check_int(k, 1, "composition part") for k in c)
+
+
 def word_of(c: Composition) -> Word:
     """Word x^(k1-1) y ... x^(kl-1) y of a composition (k1, ..., kl)."""
-    for k in c:
-        check_int(k, 1, "composition part")
-    return "".join(X * (k - 1) + Y for k in c)
+    return "".join(X * (k - 1) + Y for k in check_composition(c))
 
 
 def composition_of(w: Word) -> Composition:
@@ -119,11 +120,11 @@ def dual_composition(c: Composition) -> Composition:
     An involution on admissible compositions; weight is preserved and length
     goes to weight - length.
     """
-    if not c:
-        raise DomainError("dual of the empty composition is undefined")
     w = word_of(c)
-    if not is_admissible_composition(c):
-        raise DomainError(f"composition is not admissible: {c}")
+    if not w:
+        raise DomainError("dual of the empty composition is undefined")
+    if not is_h0_word(w):
+        raise DomainError(f"composition is not admissible: {_parts(w)}")
     return _parts(tau_word(w))
 
 
@@ -168,10 +169,8 @@ class Poly:
     def __init__(self, terms: Mapping | None = None):
         if not isinstance(terms, (Mapping, type(None))):
             raise DomainError(f"Poly takes a mapping of words to coefficients: {terms!r}")
-        acc: dict = {}
-        for w, c in (terms or {}).items():
-            _add_into(acc, _raw({check_word(w): _coeff(c)}))
-        self._terms = acc
+        terms = {check_word(w): _coeff(c) for w, c in (terms or {}).items()}  # no word repeats
+        self._terms = {w: c for w, c in terms.items() if c}
 
     @classmethod
     def word(cls, w: Word) -> "Poly":
@@ -242,16 +241,11 @@ class Poly:
 
 
 def _coeff(c) -> int | Fraction:
-    """The canonical form of the rational c: an int if integral, else a Fraction."""
+    """The canonical form of the coefficient c, an int or a Fraction: an int if integral."""
     if type(c) is int:
         return c
     if type(c) is not Fraction:
-        if isinstance(c, (bool, float)):  # a float's binary value is rarely the one meant
-            raise DomainError(f"not a rational coefficient: {c!r}")
-        try:
-            c = Fraction(c)
-        except (TypeError, ValueError, ArithmeticError):
-            raise DomainError(f"not a rational coefficient: {c!r}") from None
+        raise DomainError(f"not a rational coefficient: {c!r}")
     return c.numerator if c.denominator == 1 else c
 
 

@@ -8,14 +8,17 @@ rational arithmetic of the linear extensions is redone in Fractions.
 """
 
 import json
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mzvkit.derivations import ihara_kaneko
 from mzvkit.products import harmonic, shuffle
 from mzvkit.qsym import coproduct, exp_partial_t
-from mzvkit.words import Poly, format_poly, linear, poly_to_obj
+from mzvkit.words import DomainError, Poly, format_poly, linear, poly_to_obj
 
 # small values over denominators 1..4, so sums often cancel or become integral;
 # Fraction(4, 2) is an integral value given as a Fraction
@@ -126,3 +129,13 @@ def test_integral_fraction_is_indistinguishable_from_int():
     t = coproduct(Poly({"yy": Fraction(4, 2)}))
     assert [type(c) for c in t.values()] == [int, int, int]
     assert t == {("", "yy"): 2, ("y", "y"): 2, ("yy", ""): 2}
+
+
+def test_a_coefficient_is_an_int_or_a_fraction():
+    x = Poly.word("x")
+    for c in ("1/2", "3", Decimal("0.5"), Decimal(2), np.int64(2), np.float64(0.5), True, 0.5, 2.0, None):
+        for make in (lambda: Poly({"x": c}), lambda: x.scale(c)):
+            with pytest.raises(DomainError, match="^not a rational coefficient: "):
+                make()
+    assert Poly({"x": 3, "y": Fraction(1, 2)}) == Poly({"x": Fraction(6, 2)}) + Poly({"y": HALF})
+    assert [type(c) for _, c in x.scale(Fraction(6, 2)).items()] == [int]

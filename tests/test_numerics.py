@@ -27,7 +27,9 @@ from mzvkit.words import (
     Poly,
     admissible_words,
     composition_of,
+    dual_composition,
     tau_word,
+    word_of,
 )
 from oracles import admissible_compositions, suffix_pass_reference
 
@@ -45,12 +47,23 @@ def test_mzv_eval_unit_and_errors():
     assert r.value == 1 and r.tail_bound == 0.0
     with pytest.raises(DomainError):
         mzv_eval((1, 2), N_SMALL)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^composition part must be an integer >= 1: 0$"):
         mzv_eval((2, 0), N_SMALL)
     # parts, cutoffs and precisions must be integers; a bool is not one
     for args in (((2.5,), 100), ((2,), 10.5), ((2,), 100, 5.0), ((2,), True), ((True, 1), 100)):
         with pytest.raises(DomainError):
             mzv_eval(*args)
+
+
+def test_composition_may_be_any_iterable_of_parts():
+    c = (3, 1, 2)
+    for fn in (word_of, dual_composition, lambda c: mzv_eval(c, 100), lambda c: mzv_tail_bound(c, 100),
+               lambda c: t_series_eval(c, 64)):
+        assert fn(list(c)) == fn(iter(c)) == fn(c)
+    for bad in ((np.int64(2),), (2, np.int64(1))):
+        for fn in (word_of, mzv_eval, t_series_eval):
+            with pytest.raises(DomainError, match="composition part"):
+                fn(bad)
 
 
 def test_zeta2_matches_classical_constant():
@@ -483,6 +496,8 @@ def test_t_series_preconditions():
         t_series_eval((1, 1))
     with pytest.raises(DomainError):
         t_series_eval(())
+    with pytest.raises(DomainError):  # the last exponent makes no empty series converge
+        s_series_eval((), 1)
     with pytest.raises(DomainError):
         s_series_eval((1,), 0)
     # converges thanks to the last exponent

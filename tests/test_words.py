@@ -254,8 +254,9 @@ def test_poly_arithmetic():
     assert x * y == Poly.word("xy")
     assert Poly.word("xy") + Poly({"xy": -1}) == Poly()
     assert (x == "x") is False  # == and + take Polys only
-    with pytest.raises(TypeError):
-        x + 1
+    for other in (lambda: x + 1, lambda: x - 1):
+        with pytest.raises(TypeError):
+            other()
     assert x.scale(2) == Poly({"x": 2})
     assert Poly({"x": 2}).scale(Fraction(1, 2)) == x
     for scalar_product in (lambda: x * 2, lambda: 2 * x):  # scale is the one scalar product
@@ -368,6 +369,9 @@ def test_compositions_count():
         "Poly({'xy': 0.5})",
         "Poly({'xy': True})",
         "Poly.word('x').scale(0.5)",
+        "Poly({'xy': '1/2'})",  # a coefficient is an int or a Fraction, never parsed
+        "Poly({'xy': '0.5'})",
+        "Poly.word('x').scale('1/2')",
         "zeta_of_poly(Poly({'xy': 10**400}), 10)",
         "verify([Relation(Poly({'xxy': 10**400, 'xyy': -10**400}), 3, 'duality', ())], 10)",
     ],
