@@ -29,6 +29,7 @@ from .products import harmonic, shuffle
 from .words import (
     DomainError,
     Poly,
+    check_int,
     dual_composition,
     format_composition,
     format_poly,
@@ -82,7 +83,7 @@ _DERIVE_OPS = {
 
 
 def _cmd_derive(args, fmt):
-    p = _DERIVE_OPS[args.op](parse_word(args.word), args.n)
+    p = _DERIVE_OPS[args.op](parse_word(args.word), check_int(args.n, 1, "index"))
     return [_poly_out(p, fmt)], 0
 
 
@@ -95,6 +96,8 @@ def _cmd_act(args, fmt):
     if args.elem == "word":
         if len(actor) != 1:
             raise DomainError("act --elem word needs two word arguments: actor target")
+        if args.n is not None:
+            raise DomainError("act --elem word takes no --n")
         u = parse_word(actor[0])
     else:
         if args.n is None:

@@ -318,7 +318,7 @@ def zeta_of_poly(p: Poly, cutoff: int = DEFAULT_CUTOFF, digits: int = DEFAULT_DI
 
 
 def _check_series_args(c, k_last: int, cutoff: int) -> Composition:
-    """check_composition(c) if the series is defined: T(c) is S(c, 0), and both need c nonempty."""
+    """check_composition(c) if the series is defined; both series need a nonempty c."""
     c = check_composition(c)
     if not c:
         raise DomainError("the series of the empty composition is undefined")

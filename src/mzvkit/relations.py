@@ -1,9 +1,11 @@
 """Generation of kernel-relation families and exact rank computation.
 
-Each generator returns weight-homogeneous Poly elements supported on
-admissible words, every one a claimed member of the kernel of the zeta
-evaluation.  Elements are normalized (integer coefficients with content 1,
-first coefficient positive in graded-lex order) and deduplicated per family.
+FAMILIES names each family once; its generator yields raw (element, params)
+pairs, whose elements may be zero, repeated or unnormalized.  generate alone
+turns them into Relations, generate(weight, [name]) for one family: claimed
+members of the kernel of the zeta evaluation, homogeneous on admissible words,
+normalized (integer coefficients with content 1, first coefficient positive
+in graded-lex order) and deduplicated per family.
 
 Ranks of relation spans over the rationals are computed exactly in the
 admissible-word basis by fraction-free integer elimination: every row stays a
@@ -15,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Iterator
 
 from .derivations import (
     conjugate,
@@ -75,7 +78,7 @@ def _collect(weight: int, family: str, pairs) -> list:
     deduplicated, keeping first occurrences in order.
     """
     out: dict = {}
-    basis = set(admissible_words(max(weight, 0)))  # no family has pairs at a negative weight
+    basis = set(admissible_words(weight))
     for element, params in pairs:
         if not element:
             continue
@@ -87,92 +90,81 @@ def _collect(weight: int, family: str, pairs) -> list:
     return [Relation(e, weight, family, tuple(sorted(p.items()))) for e, p in out.items()]
 
 
-def gen_duality(weight: int) -> list:
+def gen_duality(weight: int) -> Iterator:
     """w minus its dual for each admissible word; self-dual words drop out."""
-    pairs = ((Poly.word(w) - Poly.word(w).tau(), {"source": w}) for w in admissible_words(weight))
-    return _collect(weight, "duality", pairs)
+    return ((Poly.word(w) - Poly.word(w).tau(), {"source": w}) for w in admissible_words(weight))
 
 
-def gen_derivation(weight: int) -> list:
+def gen_derivation(weight: int) -> Iterator:
     """Difference of the basic derivation and its conjugate on admissible words."""
     d = derivation_D()
     dbar = conjugate(d)
-    pairs = ((d.apply(w) - dbar.apply(w), {"source": w}) for w in admissible_words(max(weight - 1, 0)))
-    return _collect(weight, "derivation", pairs)
+    return ((d.apply(w) - dbar.apply(w), {"source": w}) for w in admissible_words(weight - 1))
 
 
-def gen_cyclic_sum(weight: int) -> list:
+def gen_cyclic_sum(weight: int) -> Iterator:
     """Cyclic-derivation difference, one representative per rotation class.
 
     Sources are the y-ending words of weight - 1 that are not powers of y,
     enumerated as compositions up to rotation.
     """
-    reps = dict.fromkeys(  # powers of y are excluded
-        min(rotations(c)) for c in compositions(max(weight - 1, 0)) if c and set(c) != {1}
-    )
-    pairs = (
+    reps = dict.fromkeys(min(rotations(c)) for c in compositions(weight - 1) if set(c) != {1})
+    return (
         (cyclic_C(w) - cyclic_C_bar(w), {"source": format_composition(rep)})
         for rep in reps
         for w in [word_of(rep)]
     )
-    return _collect(weight, "cyclic", pairs)
 
 
 def _fixed_length_sum(weight: int, l: int) -> Poly:
     return _raw({w: 1 for w in admissible_words(weight) if w.count("y") == l})
 
 
-def gen_sum_theorem(weight: int) -> list:
+def gen_sum_theorem(weight: int) -> Iterator:
     """Adjacent-length differences of the fixed-weight admissible sums."""
-    pairs = (
+    return (
         (_fixed_length_sum(weight, l) - _fixed_length_sum(weight, l + 1), {"l": l})
         for l in range(1, weight - 1)
     )
-    return _collect(weight, "sum", pairs)
 
 
-def gen_hoffman43(weight: int) -> list:
+def gen_hoffman43(weight: int) -> Iterator:
     """y sh w - y * w for admissible w; matches the derivation family up to sign."""
-    words = admissible_words(max(weight - 1, 0))
-    pairs = ((shuffle("y", w) - harmonic("y", w), {"source": w}) for w in words)
-    return _collect(weight, "hoffman43", pairs)
+    return ((shuffle("y", w) - harmonic("y", w), {"source": w}) for w in admissible_words(weight - 1))
 
 
-def gen_ihara_kaneko(weight: int) -> list:
+def gen_ihara_kaneko(weight: int) -> Iterator:
     """Images of admissible words under the n-th antisymmetric derivation, 1 <= n <= weight - 2."""
-    pairs = (
+    return (
         (dn.apply(w), {"n": n, "source": w})
         for n in range(1, weight - 1)
         for dn in [_partial(n)]
         for w in admissible_words(weight - n)
     )
-    return _collect(weight, "ihara_kaneko", pairs)
 
 
-def gen_ohno(weight: int) -> list:
+def gen_ohno(weight: int) -> Iterator:
     """h_n on the dual of each admissible word minus h_n on the word, 1 <= n <= weight - 2."""
-    pairs = (
+    return (
         (act(hn, Poly.word(w).tau()) - act(hn, w), {"n": n, "source": w})
         for n in range(1, weight - 1)
         for hn in [complete_h(n)]
         for w in admissible_words(weight - n)
     )
-    return _collect(weight, "ohno", pairs)
 
 
-def gen_double_shuffle(weight: int) -> list:
+def gen_double_shuffle(weight: int) -> Iterator:
     """Shuffle-minus-harmonic differences over unordered admissible pairs."""
-    pairs = (
+    return (
         (double_shuffle(u, v), {"u": u, "v": v})
         for a in range(2, weight - 1)
         for u in admissible_words(a)
         for v in admissible_words(weight - a)
         if (len(u), u) <= (len(v), v)
     )
-    return _collect(weight, "double_shuffle", pairs)
 
 
-# Relation families by name, each a generator of the family at one weight.
+# The one place each family is named: name -> its raw (element, params) pairs at a weight >= 2.
 FAMILIES = {
     "duality": gen_duality,
     "derivation": gen_derivation,
@@ -187,8 +179,10 @@ FAMILIES = {
 
 def _check_families(weight: int, families) -> tuple:
     """The family names as a tuple, each once in first-occurrence order, after rejecting
-    weight < 2, none, or an unknown one."""
+    weight < 2, a string, none, or an unknown one."""
     check_int(weight, 2, "weight")
+    if isinstance(families, str):
+        raise DomainError(f"families must be a collection of names, not a string: {families!r}")
     families = tuple(dict.fromkeys(families))
     if not families:
         raise DomainError("no relation family given")
@@ -203,7 +197,8 @@ def _check_families(weight: int, families) -> tuple:
 def generate(weight: int, families=FAMILIES) -> list:
     """All relations of the requested families at one weight, each family generated once and
     deduplicated on its own: families with equal elements (derivation, hoffman43) keep both."""
-    return [r for family in _check_families(weight, families) for r in FAMILIES[family](weight)]
+    families = _check_families(weight, families)
+    return [r for family in families for r in _collect(weight, family, FAMILIES[family](weight))]
 
 
 class RowSpace:

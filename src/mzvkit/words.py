@@ -92,7 +92,11 @@ def check_h0(p: "Poly") -> None:
 
 def check_composition(c) -> Composition:
     """The parts of the iterable c as a tuple, each checked to be an int (not a bool) >= 1."""
-    return tuple(check_int(k, 1, "composition part") for k in c)
+    try:
+        parts = iter(c)
+    except TypeError:
+        raise DomainError(f"composition must be an iterable of parts: {c!r}") from None
+    return tuple(check_int(k, 1, "composition part") for k in parts)
 
 
 def word_of(c: Composition) -> Word:
@@ -351,10 +355,7 @@ def parse_word(text: str) -> Word:
     if _WORD_RE.match(s):
         return s
     if _ZWORD_RE.match(s):
-        parts = tuple(int(d) for d in re.findall(r"z(\d+)", s))
-        if any(k < 1 for k in parts):
-            raise DomainError(f"z-index must be >= 1: {text!r}")
-        return word_of(parts)
+        return word_of(int(d) for d in re.findall(r"z(\d+)", s))
     if _COMP_RE.match(s):
         return word_of(parse_composition(s))
     raise DomainError(f"cannot parse word: {text!r}")
@@ -364,13 +365,7 @@ def parse_composition(text: str) -> Composition:
     s = text.strip()
     if not _COMP_RE.match(s):
         raise DomainError(f"cannot parse composition: {text!r}")
-    inner = s[1:-1].strip()
-    if not inner:
-        return ()
-    parts = tuple(int(p) for p in inner.split(","))
-    if any(k < 1 for k in parts):
-        raise DomainError(f"composition parts must be >= 1: {text!r}")
-    return parts
+    return check_composition(int(d) for d in re.findall(r"\d+", s))
 
 
 def poly_to_obj(p: Poly) -> list:

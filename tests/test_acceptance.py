@@ -29,8 +29,6 @@ from mzvkit.relations import (
     FAMILIES,
     Relation,
     RowSpace,
-    gen_cyclic_sum,
-    gen_sum_theorem,
     generate,
     rank_report,
 )
@@ -181,9 +179,9 @@ def test_a06_rank_weight4_and_sum_in_cyclic_span():
     checked = 0
     for weight in range(3, 9):
         span = RowSpace(admissible_words(weight))
-        for r in gen_cyclic_sum(weight):
+        for r in generate(weight, ["cyclic"]):
             span.add(r.element)
-        for r in gen_sum_theorem(weight):
+        for r in generate(weight, ["sum"]):
             assert not span.add(r.element)
             checked += 1
     report("A06", f"weight-4 rank 3 / nullity 1; {checked} sum elements inside cyclic spans")

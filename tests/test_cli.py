@@ -32,6 +32,9 @@ def test_dual_rejects_inadmissible(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "error" in captured.err
+    for argv in (["dual", "(0)"], ["eval", "(2,0)"], ["shuffle", "z0", "y"]):  # one part checker
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: composition part must be an integer >= 1: 0\n"
 
 
 def test_shuffle_and_harmonic(capsys):
@@ -148,6 +151,8 @@ def test_verify_exits_1_on_a_false_relation(monkeypatch, capsys):
         *(["act", "--elem", e, "--n", "99999999999999999999", "y"] for e in ("pn", "en", "hn")),
         ["shuffle", "z99999999999999999999", "x"],
         ["dual", "(99999999999999999999)"],
+        *(["derive", "--op", op, "--n", n, "xy"] for op in _DERIVE_OPS for n in ("0", "-1")),
+        ["act", "--elem", "word", "--n", "3", "y", "xy"],  # --n belongs to pn, en, hn
     ],
 )
 def test_out_of_domain_arguments_are_errors(capsys, argv):

@@ -64,6 +64,10 @@ def test_composition_may_be_any_iterable_of_parts():
         for fn in (word_of, mzv_eval, t_series_eval):
             with pytest.raises(DomainError, match="composition part"):
                 fn(bad)
+    for bad in (3, None):
+        for fn in (word_of, dual_composition, mzv_eval, lambda c: mzv_tail_bound(c, 100), t_series_eval):
+            with pytest.raises(DomainError, match="^composition must be an iterable of parts: "):
+                fn(bad)
 
 
 def test_zeta2_matches_classical_constant():

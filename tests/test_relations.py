@@ -5,21 +5,12 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from mzvkit import relations
 from mzvkit.derivations import conjugate, cyclic_C, derivation_D
 from mzvkit.products import harmonic, shuffle
 from mzvkit.qsym import act, complete_h
 from mzvkit.relations import (
     FAMILIES,
     RowSpace,
-    gen_cyclic_sum,
-    gen_derivation,
-    gen_double_shuffle,
-    gen_duality,
-    gen_hoffman43,
-    gen_ihara_kaneko,
-    gen_ohno,
-    gen_sum_theorem,
     generate,
     normalize,
     rank_report,
@@ -42,25 +33,25 @@ def by_source(rels):
 
 
 def test_duality_family():
-    rels = gen_duality(3)
+    rels = generate(3, ["duality"])
     assert len(rels) == 1
     assert rels[0].element == Poly({"xxy": 1, "xyy": -1})
     # self-dual words drop out: weight 4 has xxyy and xyxy fixed by tau
-    rels4 = gen_duality(4)
+    rels4 = generate(4, ["duality"])
     assert len(rels4) == 1
     assert rels4[0].element == Poly({"xxxy": 1, "xyyy": -1})
     # dual pairs produce one normalized element, not two
-    rels5 = gen_duality(5)
+    rels5 = generate(5, ["duality"])
     elems = {tuple(r.element.items()) for r in rels5}
     assert len(elems) == len(rels5)
     w23 = word_of((2, 3))
     w212 = word_of((2, 1, 2))
     assert any(r.element in (Poly.word(w23) - Poly.word(w212), Poly.word(w212) - Poly.word(w23)) for r in rels5)
-    assert gen_duality(1) == []
+    assert generate(2, ["duality"]) == []  # xy is self-dual
 
 
 def test_derivation_family():
-    rels = by_source(gen_derivation(3))
+    rels = by_source(generate(3, ["derivation"]))
     # from xy: D - Dbar sends xy to x^2y - xy^2
     assert rels["xy"] == Poly({"xxy": 1, "xyy": -1})
     # cross-check against the product-difference form
@@ -68,15 +59,15 @@ def test_derivation_family():
     for w in admissible_words(4):
         p = Poly.word(w)
         expected = normalize(D.apply(p) - Dbar.apply(p))
-        got = by_source(gen_derivation(5))[w]
+        got = by_source(generate(5, ["derivation"]))[w]
         assert got == expected
         assert got == normalize(-(shuffle("y", p) - harmonic("y", p)))
 
 
 def test_hoffman43_matches_derivation_up_to_sign():
     for weight in range(3, 8):
-        h = by_source(gen_hoffman43(weight))
-        d = by_source(gen_derivation(weight))
+        h = by_source(generate(weight, ["hoffman43"]))
+        d = by_source(generate(weight, ["derivation"]))
         assert set(h) == set(d)
         y = Poly.word("y")
         for w in h:
@@ -93,22 +84,22 @@ def with_n(rels, n):
 
 def test_ihara_kaneko_family():
     for weight in range(3, 8):
-        ik1 = by_source(with_n(gen_ihara_kaneko(weight), 1))
-        d = by_source(gen_derivation(weight))
+        ik1 = by_source(with_n(generate(weight, ["ihara_kaneko"]), 1))
+        d = by_source(generate(weight, ["derivation"]))
         assert ik1 == d  # identical after normalization (sign absorbed)
-    rels = with_n(gen_ihara_kaneko(4), 2)
+    rels = with_n(generate(4, ["ihara_kaneko"]), 2)
     assert len(rels) == 1
     assert rels[0].element == Poly({"xxxy": 1, "xyyy": -1})
 
 
 def test_families_without_a_source_word_are_empty():
-    # no index 1 <= n <= weight - 2, and no source word at weight - 1 <= 0
-    assert gen_ihara_kaneko(2) == gen_ohno(2) == gen_derivation(0) == gen_hoffman43(0) == []
-    assert gen_cyclic_sum(1) == gen_cyclic_sum(0) == []
+    # weight 2: xy is self-dual, no index 1 <= n <= weight - 2, and weight 1 has no
+    # admissible word (derivation, hoffman43) and no composition but (1) (cyclic)
+    assert generate(2) == []
 
 
 def test_cyclic_family_weight4():
-    rels = gen_cyclic_sum(4)
+    rels = generate(4, ["cyclic"])
     elems = [r.element for r in rels]
     z4 = Poly.word(word_of((4,)))
     z31 = Poly.word(word_of((3, 1)))
@@ -120,7 +111,7 @@ def test_cyclic_family_weight4():
 
 def test_cyclic_family_skips_y_powers():
     for weight in range(2, 8):
-        for r in gen_cyclic_sum(weight):
+        for r in generate(weight, ["cyclic"]):
             src = dict(r.params)["source"]
             assert src != "(" + ",".join(["1"] * (weight - 1)) + ")"
 
@@ -150,21 +141,21 @@ def test_cyclic_rotation_sum_structure():
 
 
 def test_sum_theorem_family():
-    rels3 = gen_sum_theorem(3)
+    rels3 = generate(3, ["sum"])
     assert len(rels3) == 1
     assert rels3[0].element == Poly({"xxy": 1, "xyy": -1})
-    rels4 = by_l = {dict(r.params)["l"]: r.element for r in gen_sum_theorem(4)}
+    rels4 = by_l = {dict(r.params)["l"]: r.element for r in generate(4, ["sum"])}
     assert by_l[1] == Poly({"xxxy": 1, "xxyy": -1, "xyxy": -1})
     assert by_l[2] == Poly({"xxyy": 1, "xyxy": 1, "xyyy": -1})
-    assert len(gen_sum_theorem(2)) == 0
+    assert generate(2, ["sum"]) == []
 
 
 def test_sum_theorem_in_cyclic_span():
     for weight in range(3, 9):
         space = RowSpace(admissible_words(weight))
-        for r in gen_cyclic_sum(weight):
+        for r in generate(weight, ["cyclic"]):
             space.add(r.element)
-        for r in gen_sum_theorem(weight):
+        for r in generate(weight, ["sum"]):
             assert not space.add(r.element)
 
 
@@ -174,27 +165,27 @@ def test_ohno_family():
     for weight in (3, 4, 5):
         oh0 = {act(h0, Poly.word(w).tau()) - act(h0, w) for w in admissible_words(weight)}
         oh0 = {frozenset(normalize(p).items()) for p in oh0 if p}
-        du = {frozenset(r.element.items()) for r in gen_duality(weight)}
+        du = {frozenset(r.element.items()) for r in generate(weight, ["duality"])}
         assert oh0 == du
-    rels = with_n(gen_ohno(5), 2)
+    rels = with_n(generate(5, ["ohno"]), 2)
     assert rels and all(r.element.weight() == 5 for r in rels)
 
 
 def test_ohno1_span_within_derivation_and_duality():
     for weight in range(3, 9):
         space = RowSpace(admissible_words(weight))
-        for r in gen_derivation(weight) + gen_duality(weight):
+        for r in generate(weight, ["derivation", "duality"]):
             space.add(r.element)
-        for r in with_n(gen_ohno(weight), 1):
+        for r in with_n(generate(weight, ["ohno"]), 1):
             assert not space.add(r.element)
 
 
 def test_double_shuffle_family():
-    rels = gen_double_shuffle(4)
+    rels = generate(4, ["double_shuffle"])
     assert len(rels) == 1
     assert rels[0].element == Poly({"xxxy": 1, "xxyy": -4})
     assert dict(rels[0].params) == {"u": "xy", "v": "xy"}
-    assert gen_double_shuffle(3) == []
+    assert generate(3, ["double_shuffle"]) == []
 
 
 def test_all_relations_admissible_and_homogeneous():
@@ -227,7 +218,7 @@ def test_normalize_reads_the_sign_in_graded_lex_order(terms, expected):
 
 def test_inadmissible_family_element_names_the_graded_lex_first_bad_word(monkeypatch):
     element = Poly({"yxyy": 1, "xyyy": 1, "yxxy": 1, "xxyx": 1})
-    family = lambda weight: relations._collect(weight, "bad", [(element, {})])  # noqa: E731
+    family = lambda weight: [(element, {})]  # noqa: E731
     monkeypatch.setitem(FAMILIES, "bad", family)
     with pytest.raises(DomainError, match="'xxyx'"):
         generate(4, ["bad"])
@@ -235,7 +226,7 @@ def test_inadmissible_family_element_names_the_graded_lex_first_bad_word(monkeyp
 
 def test_mixed_weight_family_element_is_an_error(monkeypatch):
     element = Poly({"xxy": 1, "xxyy": 1})
-    family = lambda weight: relations._collect(weight, "bad", [(element, {})])  # noqa: E731
+    family = lambda weight: [(element, {})]  # noqa: E731
     monkeypatch.setitem(FAMILIES, "bad", family)
     with pytest.raises(DomainError, match="^relation element is not homogeneous of weight 4$"):
         generate(4, ["bad"])
@@ -408,6 +399,9 @@ def test_rank_weight4_all_families():
 def test_generate_unknown_family():
     with pytest.raises(DomainError):
         generate(4, ["nonsense"])
+    for fn in (generate, rank_report):  # a string is not read as its characters
+        with pytest.raises(DomainError, match="not a string: 'sum'$"):
+            fn(5, "sum")
     assert set(FAMILIES) == {
         "duality",
         "derivation",
